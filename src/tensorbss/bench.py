@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import __version__
-from .bss import METHOD_NAMES, unmix
+from .bss import METHOD_NAMES, method_config, unmix
 from .metrics import kron_unmixing, mdi
 from .simgen import SETTINGS, gen_latent_setting, gen_mixing, mix
 
@@ -28,7 +28,7 @@ class ExperimentSpec:
     dims: tuple = (3, 2, 2)
     lengths: tuple = (1000,)
     methods: tuple = ("tsobi",)
-    lags: dict = field(default_factory=dict)  # family -> lag tuple override
+    lags: dict = field(default_factory=dict)  # method name -> lag tuple override
     replicates: int = 1
     seed: int = 0
     out: str = "bench_out"
@@ -38,15 +38,20 @@ class ExperimentSpec:
             raise ValueError(f"unknown setting {self.setting!r}")
         if self.mixing not in ("gaussian", "haar"):
             raise ValueError(f"unknown mixing {self.mixing!r}")
+        if self.replicates < 1:
+            raise ValueError("replicates must be >= 1")
+        unlisted = sorted(set(self.lags) - set(self.methods))
+        if unlisted:
+            raise ValueError(f"lag overrides for methods not in the method list: {unlisted}")
+        max_lag = 0
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ValueError(f"unknown method {m!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        max_lag = 0
-        for m in self.methods:
-            lags = self.lags.get(m) or METHOD_NAMES[m][2]
-            max_lag = max(max_lag, max(lags))
+            try:
+                cfg, _ = method_config(m, self.lags.get(m))
+            except ValueError as exc:
+                raise ValueError(f"lags.{m}: {exc}") from exc
+            max_lag = max(max_lag, max(cfg.lags))
         bad = [t for t in self.lengths if t < 2 * (max_lag + 1)]
         if bad:
             raise ValueError(f"series lengths {bad} too short for max lag {max_lag}")

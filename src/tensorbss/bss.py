@@ -3,10 +3,12 @@
 Vector path: SOBI, gFOBI, gJADE and the lag-{0} special cases FOBI, JADE.
 Tensor path: TSOBI, TgFOBI, TgJADE and TFOBI, TJADE.
 
-The tensor pipeline is one-pass: center, estimate all mode covariances,
-standardize from every mode simultaneously, build the per-mode matrix
-sets from the same standardized series, diagonalize each mode, and form
-the per-mode unmixers Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
+All ten share one per-mode fit; a vector series is a one-mode series
+whose covariance is sigma_tau(., 0).  The fit centers, estimates all mode
+covariances, standardizes from every mode simultaneously, builds each
+mode's matrix set from that standardized series (`_LAG_MATRICES`, keyed by
+family and path; vector gjade places its lags differently from tgjade),
+diagonalizes each mode, and forms Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .linalg import JointDiagResult, RankDeficiencyError, joint_diagonalize, sym_inv_sqrt
-from .tensor import center, series_mode_product
+from .linalg import RankDeficiencyError, joint_diagonalize, sym_inv_sqrt
+from .tensor import series_components, series_mode_product
 
 __all__ = [
     "METHOD_NAMES",
@@ -57,8 +59,6 @@ class MethodConfig:
     family: str  # sobi | gfobi | gjade
     lags: tuple
     tol: float = 1e-12
-    max_sweeps: int = 100
-    half_pairs: bool = False  # gjade only: use i <= j instead of all (i, j)
 
     def __post_init__(self):
         if self.family not in ("sobi", "gfobi", "gjade"):
@@ -96,11 +96,25 @@ class UnmixingResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# (family, tensor path) -> the matrix, or (p, p, p, p) grid of matrices, that
+# lag tau contributes on mode m of the standardized series
+_LAG_MATRICES = {
+    ("sobi", False): lambda ys, m, tau: moments.sigma_tau(ys, tau, symmetrize=True),
+    ("gfobi", False): lambda ys, m, tau: moments.b_tau(ys, tau),
+    ("gjade", False): lambda ys, m, tau: moments.c_tau_grid(ys, tau),
+    ("sobi", True): lambda ys, m, tau: moments.mode_autocov(ys, m, tau, symmetrize=True),
+    ("gfobi", True): lambda ys, m, tau: moments.mode_b_tau(ys, m, tau),
+    ("gjade", True): lambda ys, m, tau: moments.mode_c_grid(ys, m, tau),
+}
+
+
 def whiten_vector(xs: np.ndarray):
     """Whiten a centered vector series; returns (whitened, W = Sigma_0^{-1/2})."""
     xs = np.asarray(xs, dtype=float)
-    w = sym_inv_sqrt(moments.sigma_tau(xs, 0, symmetrize=True))
-    return xs @ w.T, w
+    if xs.ndim != 2:
+        raise ValueError("vector whitening expects a series of shape (T, p)")
+    ys, whiteners = _standardize(xs, tensor_path=False)
+    return ys, whiteners[0]
 
 
 def whiten_tensor(xs: np.ndarray):
@@ -110,56 +124,57 @@ def whiten_tensor(xs: np.ndarray):
     standardization is not re-estimated between modes.
     """
     xs = np.asarray(xs, dtype=float)
-    r = xs.ndim - 1
+    if xs.ndim < 2:
+        raise ValueError("tensor whitening expects a series of shape (T, p_1, ..., p_r)")
+    return _standardize(xs, tensor_path=True)
+
+
+def _standardize(xc: np.ndarray, tensor_path: bool):
+    """Whiten every mode of a centered series with covariances taken from the input."""
     whiteners = []
-    for m in range(1, r + 1):
+    for m in range(1, xc.ndim):
+        cov = (moments.mode_cov(xc, m) if tensor_path
+               else moments.sigma_tau(xc, 0, symmetrize=True))
         try:
-            whiteners.append(sym_inv_sqrt(moments.mode_cov(xs, m)))
+            whiteners.append(sym_inv_sqrt(cov))
         except RankDeficiencyError as exc:
             raise RankDeficiencyError(f"mode {m}: {exc}") from exc
-    out = xs
+    ys = xc
     for m, w in enumerate(whiteners, start=1):
-        out = series_mode_product(out, w, m)
-    return out, whiteners
+        ys = series_mode_product(ys, w, m)
+    return ys, whiteners
 
 
-def _vector_matrix_set(ys: np.ndarray, cfg: MethodConfig) -> list:
-    p = ys.shape[1]
-    mats = []
-    if cfg.family == "sobi":
-        for tau in cfg.lags:
-            mats.append(moments.sigma_tau(ys, tau, symmetrize=True))
-    elif cfg.family == "gfobi":
-        for tau in cfg.lags:
-            mats.append(moments.b_tau(ys, tau))
-    else:
-        for tau in cfg.lags:
-            grid = moments.b_tau_grid(ys, tau)
-            s = moments.sigma_tau(ys, tau)
-            for i in range(1, p + 1):
-                jstart = i if cfg.half_pairs else 1
-                for j in range(jstart, p + 1):
-                    mats.append(moments._c_from_parts(grid[i - 1, j - 1], s, i, j, p))
-    return mats
-
-
-def _mode_matrix_set(ys: np.ndarray, mode: int, cfg: MethodConfig) -> list:
-    mats = []
-    if cfg.family == "sobi":
-        for tau in cfg.lags:
-            mats.append(moments.mode_autocov(ys, mode, tau, symmetrize=True))
-    elif cfg.family == "gfobi":
-        for tau in cfg.lags:
-            mats.append(moments.mode_b_tau(ys, mode, tau))
-    else:
-        for tau in cfg.lags:
-            grid = moments.mode_c_grid(ys, mode, tau)
-            p = grid.shape[0]
-            for i in range(1, p + 1):
-                jstart = i if cfg.half_pairs else 1
-                for j in range(jstart, p + 1):
-                    mats.append(grid[i - 1, j - 1])
-    return mats
+def _fit(xs: np.ndarray, cfg: MethodConfig, tensor_path: bool) -> UnmixingResult:
+    """The one fit: center, standardize, diagonalize each mode, assemble Gamma^m."""
+    if xs.shape[0] <= max(cfg.lags):
+        raise ValueError("series shorter than the largest lag")
+    if not np.isfinite(xs).all():
+        raise ValueError("series contains NaN or infinite values")
+    lag_matrices = _LAG_MATRICES[cfg.family, tensor_path]
+    mean = xs.mean(axis=0)
+    xc = xs - mean
+    ys, whiteners = _standardize(xc, tensor_path)
+    rotations, gammas, diag_info = [], [], []
+    recovered = ys
+    for m, w in enumerate(whiteners, start=1):
+        p = ys.shape[m]
+        # a grid's matrices go in (i, j) order, j fastest
+        mats = [a for tau in cfg.lags for a in np.reshape(lag_matrices(ys, m, tau), (-1, p, p))]
+        res = joint_diagonalize(mats, tol=cfg.tol)
+        rotations.append(res.rotation)
+        gammas.append(res.rotation.T @ w)
+        diag_info.append({"objective": res.objective, "sweeps_used": res.sweeps_used,
+                          "converged": res.converged})
+        recovered = series_mode_product(recovered, res.rotation.T, m)
+    return UnmixingResult(
+        mode_unmixers=gammas,
+        rotations=rotations,
+        whiteners=whiteners,
+        mean=mean,
+        recovered=recovered,
+        diagnostics={"joint_diag": diag_info},
+    )
 
 
 def unmix_vector(xs: np.ndarray, cfg: MethodConfig) -> UnmixingResult:
@@ -167,22 +182,7 @@ def unmix_vector(xs: np.ndarray, cfg: MethodConfig) -> UnmixingResult:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValueError("vector methods expect a series of shape (T, p)")
-    if xs.shape[0] <= max(cfg.lags):
-        raise ValueError("series shorter than the largest lag")
-    mean = xs.mean(axis=0)
-    xc = xs - mean
-    ys, w = whiten_vector(xc)
-    res = joint_diagonalize(_vector_matrix_set(ys, cfg), tol=cfg.tol,
-                            max_sweeps=cfg.max_sweeps)
-    gamma = res.rotation.T @ w
-    return UnmixingResult(
-        mode_unmixers=[gamma],
-        rotations=[res.rotation],
-        whiteners=[w],
-        mean=mean,
-        recovered=xc @ gamma.T,
-        diagnostics={"joint_diag": [_diag_summary(res)]},
-    )
+    return _fit(xs, cfg, tensor_path=False)
 
 
 def unmix_tensor(xs: np.ndarray, cfg: MethodConfig) -> UnmixingResult:
@@ -190,31 +190,7 @@ def unmix_tensor(xs: np.ndarray, cfg: MethodConfig) -> UnmixingResult:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim < 2:
         raise ValueError("tensor methods expect a series of shape (T, p_1, ..., p_r)")
-    if xs.shape[0] <= max(cfg.lags):
-        raise ValueError("series shorter than the largest lag")
-    r = xs.ndim - 1
-    mean = xs.mean(axis=0)
-    xc = xs - mean
-    ys, whiteners = whiten_tensor(xc)
-    rotations = []
-    gammas = []
-    diag_info = []
-    out = ys
-    for m in range(1, r + 1):
-        res = joint_diagonalize(_mode_matrix_set(ys, m, cfg), tol=cfg.tol,
-                                max_sweeps=cfg.max_sweeps)
-        rotations.append(res.rotation)
-        gammas.append(res.rotation.T @ whiteners[m - 1])
-        diag_info.append(_diag_summary(res))
-        out = series_mode_product(out, res.rotation.T, m)
-    return UnmixingResult(
-        mode_unmixers=gammas,
-        rotations=rotations,
-        whiteners=whiteners,
-        mean=mean,
-        recovered=out,
-        diagnostics={"joint_diag": diag_info},
-    )
+    return _fit(xs, cfg, tensor_path=True)
 
 
 def unmix(xs: np.ndarray, method: str, lags=None, **kwargs) -> UnmixingResult:
@@ -222,8 +198,6 @@ def unmix(xs: np.ndarray, method: str, lags=None, **kwargs) -> UnmixingResult:
 
     Vector methods applied to tensor input operate on the vectorized frames.
     """
-    from .tensor import series_components
-
     cfg, tensor_path = method_config(method, lags, **kwargs)
     xs = np.asarray(xs, dtype=float)
     if tensor_path:
@@ -236,23 +210,12 @@ def unmix(xs: np.ndarray, method: str, lags=None, **kwargs) -> UnmixingResult:
 def apply_unmixing(xs: np.ndarray, result: UnmixingResult) -> np.ndarray:
     """Apply a fitted unmixing to a series of the same frame shape."""
     xs = np.asarray(xs, dtype=float)
-    if xs.shape[1:] != result.mean.shape and not (
-        result.mean.ndim == 0 and xs.ndim == 1
-    ):
+    if xs.shape[1:] != result.mean.shape:
         raise ValueError(
             f"frame shape {xs.shape[1:]} does not match fitted shape {result.mean.shape}"
         )
     out = xs - result.mean
-    if out.ndim == 2 and len(result.mode_unmixers) == 1:
-        return out @ result.mode_unmixers[0].T
     for m, gamma in enumerate(result.mode_unmixers, start=1):
         out = series_mode_product(out, gamma, m)
     return out
 
-
-def _diag_summary(res: JointDiagResult) -> dict:
-    return {
-        "objective": res.objective,
-        "sweeps_used": res.sweeps_used,
-        "converged": res.converged,
-    }

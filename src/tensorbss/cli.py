@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import parse_experiment_spec, run_benchmark, summary_csv, write_manifest
+from .bench import _parse_lags, parse_experiment_spec, run_benchmark, summary_csv, write_manifest
 from .bss import METHOD_NAMES, RankDeficiencyError, unmix
 from .metrics import kron_unmixing, kurtosis_rank, max_abs_correlations, mdi
 from .simgen import gen_latent_setting, gen_mixing, mix
@@ -57,13 +57,6 @@ def read_matrices(path) -> list:
                 raise ValueError(f"matrix block in {path} has wrong shape")
             mats.append(a)
     return mats
-
-
-def _parse_lags(text: str) -> tuple:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(v) for v in text.split(","))
 
 
 def _parse_dims(text: str) -> tuple:

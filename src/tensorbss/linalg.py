@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["RankDeficiencyError", "JointDiagResult", "sym_eigen", "sym_inv_sqrt",
-           "joint_diagonalize", "diag_objective"]
+           "joint_diagonalize"]
 
 EPS_RANK = 1e-12
 
@@ -43,13 +43,6 @@ def sym_inv_sqrt(s: np.ndarray, eps_rank: float = EPS_RANK) -> np.ndarray:
         )
     r = (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
     return 0.5 * (r + r.T)
-
-
-def diag_objective(ms: np.ndarray, u: np.ndarray) -> float:
-    """Sum over the set of the squared diagonals of U^T M U."""
-    rotated = np.einsum("ki,nkl,lj->nij", u, ms, u, optimize=True)
-    d = np.diagonal(rotated, axis1=1, axis2=2)
-    return float(np.sum(d * d))
 
 
 @dataclass

@@ -19,15 +19,12 @@ from .tensor import series_flatten
 __all__ = [
     "sigma_tau",
     "b_tau",
-    "b_tau_ij",
-    "c_tau_ij",
     "b_tau_grid",
+    "c_tau_grid",
     "mode_cov",
     "mode_autocov",
     "mode_b_tau",
-    "mode_b_lags",
     "mode_b_lags_grid",
-    "mode_c_tau_ij",
     "mode_c_grid",
 ]
 
@@ -37,9 +34,14 @@ def _check_lag(tau: int, t: int) -> None:
         raise ValueError(f"lag {tau} out of range for series of length {t}")
 
 
-def _check_index(i: int, p: int) -> None:
-    if not 1 <= i <= p:
-        raise ValueError(f"component index {i} out of range 1..{p}")
+def _pair_units(p: int):
+    """Yield (i, j, E_ij + E_ji) over all 0-based index pairs, j fastest."""
+    for i in range(p):
+        for j in range(p):
+            e = np.zeros((p, p))
+            e[i, j] += 1.0
+            e[j, i] += 1.0
+            yield i, j, e
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +70,11 @@ def b_tau(xs: np.ndarray, tau: int) -> np.ndarray:
     return np.einsum("t,ti,tj->ij", w, xs[:n], xs[:n]) / n
 
 
-def b_tau_ij(xs: np.ndarray, tau: int, i: int, j: int) -> np.ndarray:
-    """Joint lagged fourth-moment matrix E[(x_{t+tau})_i (x_{t+tau})_j x_t x_t^T]."""
-    xs = np.asarray(xs, dtype=float)
-    t, p = xs.shape
-    _check_lag(tau, t)
-    _check_index(i, p)
-    _check_index(j, p)
-    n = t - tau
-    w = xs[tau:tau + n, i - 1] * xs[tau:tau + n, j - 1]
-    return np.einsum("t,ti,tj->ij", w, xs[:n], xs[:n]) / n
-
-
 def b_tau_grid(xs: np.ndarray, tau: int) -> np.ndarray:
-    """All matrices b_tau_ij at once; returns shape (p, p, p, p) indexed [i-1, j-1]."""
+    """Joint lagged fourth moments for all index pairs; shape (p, p, p, p).
+
+    Entry [i-1, j-1] is B_ij = E[(x_{t+tau})_i (x_{t+tau})_j x_t x_t^T].
+    """
     xs = np.asarray(xs, dtype=float)
     t, p = xs.shape
     _check_lag(tau, t)
@@ -92,23 +85,22 @@ def b_tau_grid(xs: np.ndarray, tau: int) -> np.ndarray:
     return (w.T @ base).reshape(p, p, p, p) / n
 
 
-def c_tau_ij(xs: np.ndarray, tau: int, i: int, j: int) -> np.ndarray:
-    """gJADE cumulant-type matrix built from b_tau_ij and sigma_tau."""
-    xs = np.asarray(xs, dtype=float)
-    p = xs.shape[1]
+def c_tau_grid(xs: np.ndarray, tau: int) -> np.ndarray:
+    """All gJADE cumulant-type matrices for a lag; shape (p, p, p, p) indexed [i-1, j-1].
+
+    C_ij = B_ij - S (E_ij + E_ji) S^T - delta_ij I, with B_ij the entries of
+    :func:`b_tau_grid` and S = sigma_tau(xs, tau).
+    """
+    b = b_tau_grid(xs, tau)
     s = sigma_tau(xs, tau)
-    b = b_tau_ij(xs, tau, i, j)
-    return _c_from_parts(b, s, i, j, p)
-
-
-def _c_from_parts(b: np.ndarray, s: np.ndarray, i: int, j: int, p: int) -> np.ndarray:
-    e = np.zeros((p, p))
-    e[i - 1, j - 1] += 1.0
-    e[j - 1, i - 1] += 1.0
-    c = b - s @ e @ s.T
-    if i == j:
-        c = c - np.eye(p)
-    return c
+    p = s.shape[0]
+    out = np.empty_like(b)
+    for i, j, e in _pair_units(p):
+        c = b[i, j] - s @ e @ s.T
+        if i == j:
+            c = c - np.eye(p)
+        out[i, j] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -142,25 +134,12 @@ def mode_b_tau(xs: np.ndarray, mode: int, tau: int) -> np.ndarray:
     return np.einsum("tik,tjk->ij", g, g) / (n * rho)
 
 
-def mode_b_lags(xs: np.ndarray, mode: int, taus, i: int, j: int) -> np.ndarray:
-    """Mode joint lagged fourth moment for lags (tau_1..tau_4) and indices (i, j).
+def mode_b_lags_grid(xs: np.ndarray, mode: int, taus) -> np.ndarray:
+    """Mode joint lagged fourth moments for lags (tau_1..tau_4); shape (p_m, p_m, p_m, p_m).
 
+    Entry [i-1, j-1] is
     (1/rho_m) E[(e_i^T X_{t+tau1} X_{t+tau2}^T e_j) X_{t+tau3} X_{t+tau4}^T].
     """
-    f = series_flatten(xs, mode)
-    t, p, rho = f.shape
-    t1, t2, t3, t4 = (int(v) for v in taus)
-    for tau in (t1, t2, t3, t4):
-        _check_lag(tau, t)
-    _check_index(i, p)
-    _check_index(j, p)
-    n = t - max(t1, t2, t3, t4)
-    w = np.einsum("tk,tk->t", f[t1:t1 + n, i - 1, :], f[t2:t2 + n, j - 1, :])
-    return np.einsum("t,tik,tjk->ij", w, f[t3:t3 + n], f[t4:t4 + n]) / (n * rho)
-
-
-def mode_b_lags_grid(xs: np.ndarray, mode: int, taus) -> np.ndarray:
-    """All (i, j) matrices of :func:`mode_b_lags` at once; shape (p_m, p_m, p_m, p_m)."""
     f = series_flatten(xs, mode)
     t, p, rho = f.shape
     t1, t2, t3, t4 = (int(v) for v in taus)
@@ -172,34 +151,19 @@ def mode_b_lags_grid(xs: np.ndarray, mode: int, taus) -> np.ndarray:
     return (w.T @ base).reshape(p, p, p, p) / (n * rho)
 
 
-def mode_c_tau_ij(xs: np.ndarray, mode: int, tau: int, i: int, j: int) -> np.ndarray:
-    """Mode gJADE cumulant-type matrix (lagged TJADE matrix)."""
-    b1 = mode_b_lags(xs, mode, (0, tau, tau, 0), i, j)
-    b2 = mode_b_lags(xs, mode, (0, tau, 0, tau), i, j)
-    b3 = mode_b_lags(xs, mode, (tau, tau, 0, 0), i, j)
-    s0 = mode_cov(xs, mode)
-    return _mode_c_from_parts(b1, b2, b3, s0, i, j)
-
-
-def _mode_c_from_parts(b1, b2, b3, s0, i, j):
-    p = s0.shape[0]
-    e = np.zeros((p, p))
-    e[i - 1, j - 1] += 1.0
-    e[j - 1, i - 1] += 1.0
-    return b1 + b2 - b3 - s0 @ (e + np.eye(p)) @ s0.T
-
-
 def mode_c_grid(xs: np.ndarray, mode: int, tau: int) -> np.ndarray:
-    """All (i, j) mode gJADE matrices for a lag; shape (p_m, p_m, p_m, p_m)."""
+    """All mode gJADE matrices for a lag; shape (p_m, p_m, p_m, p_m) indexed [i-1, j-1].
+
+    C^m_ij = B_ij(0, tau, tau, 0) + B_ij(0, tau, 0, tau) - B_ij(tau, tau, 0, 0)
+    - S_0 (E_ij + E_ji + I) S_0^T, with B the grids of :func:`mode_b_lags_grid`
+    and S_0 the mode covariance.
+    """
     g1 = mode_b_lags_grid(xs, mode, (0, tau, tau, 0))
     g2 = mode_b_lags_grid(xs, mode, (0, tau, 0, tau))
     g3 = mode_b_lags_grid(xs, mode, (tau, tau, 0, 0))
     s0 = mode_cov(xs, mode)
     p = s0.shape[0]
     out = np.empty((p, p, p, p))
-    for i in range(1, p + 1):
-        for j in range(1, p + 1):
-            out[i - 1, j - 1] = _mode_c_from_parts(
-                g1[i - 1, j - 1], g2[i - 1, j - 1], g3[i - 1, j - 1], s0, i, j
-            )
+    for i, j, e in _pair_units(p):
+        out[i, j] = g1[i, j] + g2[i, j] - g3[i, j] - s0 @ (e + np.eye(p)) @ s0.T
     return out

@@ -132,6 +132,15 @@ def naive_mode_c_tau_ij(xs, mode, tau, i, j):
             - s0 @ (e + np.eye(p)) @ s0.T)
 
 
+def diag_objective(ms, u):
+    """Sum over the set of the squared diagonals of U^T M U."""
+    total = 0.0
+    for m in ms:
+        d = np.diag(u.T @ m @ u)
+        total += float(d @ d)
+    return total
+
+
 def brute_mdi(gamma_hat, omega):
     """MDI by exhaustive search over permutations with per-row optimal scale."""
     g = np.asarray(gamma_hat) @ np.asarray(omega)

@@ -101,25 +101,27 @@ def test_criterion_2_moment_functionals_match_oracles(report):
         nonlocal worst
         worst = max(worst, np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
+    # the (i, j) matrices are checked as entries [i-1, j-1] of the grids the fit uses
     for tau in (0, 1, 3):
         track(moments.sigma_tau(flat, tau), oracles.naive_sigma_tau(flat, tau))
         track(moments.b_tau(flat, tau), oracles.naive_b_tau(flat, tau))
+        b_grid = moments.b_tau_grid(flat, tau)
+        c_grid = moments.c_tau_grid(flat, tau)
         for i, j in ((1, 1), (2, 5), (12, 3)):
-            track(moments.b_tau_ij(flat, tau, i, j),
-                  oracles.naive_b_tau_ij(flat, tau, i, j))
-            track(moments.c_tau_ij(flat, tau, i, j),
-                  oracles.naive_c_tau_ij(flat, tau, i, j))
+            track(b_grid[i - 1, j - 1], oracles.naive_b_tau_ij(flat, tau, i, j))
+            track(c_grid[i - 1, j - 1], oracles.naive_c_tau_ij(flat, tau, i, j))
         for m in (1, 2, 3):
             track(moments.mode_autocov(xs, m, tau, symmetrize=False),
                   oracles.naive_mode_autocov(xs, m, tau))
             track(moments.mode_b_tau(xs, m, tau),
                   oracles.naive_mode_b_tau(xs, m, tau))
+            b_grid = moments.mode_b_lags_grid(xs, m, (0, tau, tau, 0))
+            c_grid = moments.mode_c_grid(xs, m, tau)
             p = xs.shape[m]
             for i, j in ((1, 1), (1, p)):
-                track(moments.mode_b_lags(xs, m, (0, tau, tau, 0), i, j),
+                track(b_grid[i - 1, j - 1],
                       oracles.naive_mode_b_lags(xs, m, (0, tau, tau, 0), i, j))
-                track(moments.mode_c_tau_ij(xs, m, tau, i, j),
-                      oracles.naive_mode_c_tau_ij(xs, m, tau, i, j))
+                track(c_grid[i - 1, j - 1], oracles.naive_mode_c_tau_ij(xs, m, tau, i, j))
     report(2, f"moment functionals equal brute-force oracles on a 3x2x2 "
               f"series (max error {worst:.2e}, tol 1e-12)", worst < 1e-12)
 

@@ -66,6 +66,16 @@ class TestSpecParsing:
             ExperimentSpec(setting="arma", mixing="haar", lengths=(20,),
                            methods=("tsobi",))
 
+    @pytest.mark.parametrize("method,lags", [("fobi", (0, 1, 2)), ("tsobi", ())])
+    def test_unrunnable_lag_override_rejected(self, method, lags):
+        with pytest.raises(ValueError, match=f"lags.{method}"):
+            ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
+                           methods=(method,), lags={method: lags})
+
+    def test_lag_override_for_unlisted_method_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="bogus"):
+            parse_experiment_spec(write_spec(tmp_path, SPEC_TEXT + "lags.bogus = 1:3\n"))
+
 
 class TestRunBenchmark:
     def test_manifest_determinism_and_shape(self, tmp_path):
@@ -78,6 +88,14 @@ class TestRunBenchmark:
             assert a1["mean_mdi"] == a2["mean_mdi"]
             assert a1["n_ok"] == 3 and a1["n_failed"] == 0
             assert 0.0 <= a1["mean_mdi"] <= 1.0
+
+    def test_jobs_do_not_change_results(self):
+        spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
+                              methods=("tsobi", "sobi"), replicates=3, seed=11)
+        serial = run_benchmark(spec, jobs=1)
+        parallel = run_benchmark(spec, jobs=2)
+        assert serial["replicates"] == parallel["replicates"]
+        assert serial["aggregates"] == parallel["aggregates"]
 
     def test_seed_changes_results(self, tmp_path):
         spec = parse_experiment_spec(write_spec(tmp_path))
@@ -165,6 +183,15 @@ class TestCliUnmix:
         write_series(path, np.ones((100, 3)))
         assert main(["unmix", "--in", str(path), "--method", "sobi",
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys):
+        xs = np.random.default_rng(4).standard_normal((300, 3, 2, 2))
+        xs[5, 0, 1, 1] = np.nan
+        path = tmp_path / "nan.ts"
+        write_series(path, xs)
+        assert main(["unmix", "--in", str(path), "--method", "tsobi",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "NaN or infinite" in capsys.readouterr().err
 
 
 class TestCliEvaluate:

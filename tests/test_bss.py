@@ -236,3 +236,11 @@ class TestInputValidation:
         xs = np.random.default_rng(51).standard_normal((50, 2, 2))
         with pytest.raises(ValueError):
             unmix_vector(xs, MethodConfig("sobi", (1,)))
+
+    @pytest.mark.parametrize("method", ["tsobi", "sobi", "tgjade"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, method, bad):
+        xs = np.random.default_rng(52).standard_normal((300, 3, 2, 2))
+        xs[17, 1, 0, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            unmix(xs, method)

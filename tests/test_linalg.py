@@ -3,13 +3,12 @@ import pytest
 
 from tensorbss.linalg import (
     RankDeficiencyError,
-    diag_objective,
     joint_diagonalize,
     sym_eigen,
     sym_inv_sqrt,
 )
 
-from oracles import pj_distance
+from oracles import diag_objective, pj_distance
 
 rng = np.random.default_rng(42)
 

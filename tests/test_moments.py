@@ -67,15 +67,18 @@ class TestBTau:
 
 
 class TestBTauIJ:
+    """Entries of b_tau_grid, the joint lagged fourth moments B_ij."""
+
     def test_sum_over_diagonal_recovers_b_tau(self):
         xs = rng.standard_normal((40, 3))
-        total = sum(moments.b_tau_ij(xs, 1, i, i) for i in (1, 2, 3))
+        grid = moments.b_tau_grid(xs, 1)
+        total = sum(grid[i, i] for i in range(3))
         assert np.allclose(total, moments.b_tau(xs, 1), atol=1e-12)
 
     def test_one_hot_series(self):
         xs = np.zeros((4, 2))
         xs[:, 0] = [1.0, 2.0, 1.0, 2.0]
-        b = moments.b_tau_ij(xs, 0, 1, 1)
+        b = moments.b_tau_grid(xs, 0)[0, 0]
         # weight x_{t,1}^2 times outer(x_t, x_t), averaged
         expected = np.mean([x[0] ** 2 * np.outer(x, x) for x in xs], axis=0)
         assert np.allclose(b, expected, atol=1e-14)
@@ -83,14 +86,15 @@ class TestBTauIJ:
     def test_matches_oracle(self):
         xs = rng.standard_normal((20, 3))
         for tau in (0, 1):
+            grid = moments.b_tau_grid(xs, tau)
             for i in (1, 3):
                 for j in (1, 2):
-                    assert np.allclose(moments.b_tau_ij(xs, tau, i, j),
+                    assert np.allclose(grid[i - 1, j - 1],
                                        oracles.naive_b_tau_ij(xs, tau, i, j), atol=1e-12)
 
-    def test_index_out_of_range(self):
+    def test_lag_out_of_range(self):
         with pytest.raises(ValueError):
-            moments.b_tau_ij(rng.standard_normal((10, 2)), 0, 0, 1)
+            moments.b_tau_grid(rng.standard_normal((10, 2)), 10)
 
     def test_grid_matches_single_calls(self):
         xs = rng.standard_normal((25, 3))
@@ -98,28 +102,31 @@ class TestBTauIJ:
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 assert np.allclose(grid[i - 1, j - 1],
-                                   moments.b_tau_ij(xs, 2, i, j), atol=1e-13)
+                                   oracles.naive_b_tau_ij(xs, 2, i, j), atol=1e-13)
 
 
 class TestCTauIJ:
+    """Entries of c_tau_grid, the gJADE cumulant-type matrices C_ij."""
+
     def test_gaussian_cumulant_vanishes(self):
         xs = np.random.default_rng(13).standard_normal((300000, 2))
         xs = xs - xs.mean(axis=0)
-        c = moments.c_tau_ij(xs, 0, 1, 1)
+        c = moments.c_tau_grid(xs, 0)[0, 0]
         assert np.abs(c).max() < 0.05
 
     def test_delta_term_only_on_diagonal_indices(self):
         xs = rng.standard_normal((30, 2))
-        b = moments.b_tau_ij(xs, 1, 1, 2)
+        b = moments.b_tau_grid(xs, 1)[0, 1]
         s = moments.sigma_tau(xs, 1)
         e = np.zeros((2, 2))
         e[0, 1] = e[1, 0] = 1.0
-        assert np.allclose(moments.c_tau_ij(xs, 1, 1, 2), b - s @ e @ s.T, atol=1e-14)
+        assert np.allclose(moments.c_tau_grid(xs, 1)[0, 1], b - s @ e @ s.T, atol=1e-14)
 
     def test_recomposition(self):
         xs = rng.standard_normal((30, 3))
+        grid = moments.c_tau_grid(xs, 1)
         for (i, j) in ((1, 1), (2, 3)):
-            assert np.allclose(moments.c_tau_ij(xs, 1, i, j),
+            assert np.allclose(grid[i - 1, j - 1],
                                oracles.naive_c_tau_ij(xs, 1, i, j), atol=1e-12)
 
 
@@ -196,11 +203,14 @@ class TestModeBTau:
 
 
 class TestModeBLags:
+    """Entries of mode_b_lags_grid, the mode joint lagged fourth moments."""
+
     def test_zero_lags_sum_is_trace_weighted_moment(self):
         # summing over i = j turns the scalar weight into tr(X X^T); this
         # equals mode_b_tau only in the vector case (rho_m = 1)
         xs = rng.standard_normal((20, 3, 2, 2))
-        total = sum(moments.mode_b_lags(xs, 1, (0, 0, 0, 0), i, i) for i in (1, 2, 3))
+        grid = moments.mode_b_lags_grid(xs, 1, (0, 0, 0, 0))
+        total = sum(grid[i, i] for i in range(3))
         f = np.stack([oracles.naive_m_flatten(x, 1) for x in xs])
         w = np.einsum("tik,tik->t", f, f)
         want = np.einsum("t,tik,tjk->ij", w, f, f) / (20 * 4)
@@ -208,16 +218,17 @@ class TestModeBLags:
 
     def test_zero_lags_sum_identity_vector_case(self):
         xs = rng.standard_normal((20, 4))
-        total = sum(moments.mode_b_lags(xs, 1, (0, 0, 0, 0), i, i) for i in range(1, 5))
+        grid = moments.mode_b_lags_grid(xs, 1, (0, 0, 0, 0))
+        total = sum(grid[i, i] for i in range(4))
         assert np.allclose(total, moments.mode_b_tau(xs, 1, 0), atol=1e-12)
 
     def test_matches_oracle(self):
         xs = rng.standard_normal((20, 3, 2, 2))
         for taus in ((0, 1, 1, 0), (1, 1, 0, 0), (0, 2, 0, 2)):
+            grid = moments.mode_b_lags_grid(xs, 1, taus)
             for (i, j) in ((1, 1), (2, 3), (3, 1)):
-                got = moments.mode_b_lags(xs, 1, taus, i, j)
                 want = oracles.naive_mode_b_lags(xs, 1, taus, i, j)
-                assert np.allclose(got, want, atol=1e-12)
+                assert np.allclose(grid[i - 1, j - 1], want, atol=1e-12)
 
     def test_grid_matches_single_calls(self):
         xs = rng.standard_normal((15, 3, 2))
@@ -225,46 +236,50 @@ class TestModeBLags:
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 assert np.allclose(grid[i - 1, j - 1],
-                                   moments.mode_b_lags(xs, 1, (0, 1, 1, 0), i, j),
+                                   oracles.naive_mode_b_lags(xs, 1, (0, 1, 1, 0), i, j),
                                    atol=1e-13)
 
     def test_lag_out_of_range(self):
         with pytest.raises(ValueError):
-            moments.mode_b_lags(rng.standard_normal((5, 2, 2)), 1, (0, 0, 0, 9), 1, 1)
+            moments.mode_b_lags_grid(rng.standard_normal((5, 2, 2)), 1, (0, 0, 0, 9))
 
 
 class TestModeCTauIJ:
+    """Entries of mode_c_grid, the mode gJADE matrices."""
+
     def test_composition_consistency(self):
         xs = rng.standard_normal((20, 3, 2, 2))
+        g1 = moments.mode_b_lags_grid(xs, 1, (0, 1, 1, 0))
+        g2 = moments.mode_b_lags_grid(xs, 1, (0, 1, 0, 1))
+        g3 = moments.mode_b_lags_grid(xs, 1, (1, 1, 0, 0))
+        s0 = moments.mode_cov(xs, 1)
+        grid = moments.mode_c_grid(xs, 1, 1)
         for (i, j) in ((1, 1), (2, 3)):
-            b1 = moments.mode_b_lags(xs, 1, (0, 1, 1, 0), i, j)
-            b2 = moments.mode_b_lags(xs, 1, (0, 1, 0, 1), i, j)
-            b3 = moments.mode_b_lags(xs, 1, (1, 1, 0, 0), i, j)
-            s0 = moments.mode_cov(xs, 1)
             e = np.zeros((3, 3))
             e[i - 1, j - 1] += 1.0
             e[j - 1, i - 1] += 1.0
-            want = b1 + b2 - b3 - s0 @ (e + np.eye(3)) @ s0.T
-            assert np.allclose(moments.mode_c_tau_ij(xs, 1, 1, i, j), want, atol=1e-14)
+            want = (g1[i - 1, j - 1] + g2[i - 1, j - 1] - g3[i - 1, j - 1]
+                    - s0 @ (e + np.eye(3)) @ s0.T)
+            assert np.allclose(grid[i - 1, j - 1], want, atol=1e-14)
 
     def test_gaussian_iid_value(self):
         # Wishart second moments give C^m_{0ii} = (rho_m - 1) I for i.i.d.
         # standard normal entries; the matrix is 0 only in the vector case
         xs = np.random.default_rng(31).standard_normal((200000, 3, 2))
         xs = xs - xs.mean(axis=0)
-        c = moments.mode_c_tau_ij(xs, 1, 0, 1, 1)
+        c = moments.mode_c_grid(xs, 1, 0)[0, 0]
         assert np.abs(c - np.eye(3)).max() < 0.05  # rho_1 = 2
         ys = np.random.default_rng(32).standard_normal((200000, 3))
         ys = ys - ys.mean(axis=0)
-        assert np.abs(moments.mode_c_tau_ij(ys, 1, 0, 1, 1)).max() < 0.05
+        assert np.abs(moments.mode_c_grid(ys, 1, 0)[0, 0]).max() < 0.05
 
     def test_matches_oracle(self):
         xs = rng.standard_normal((20, 3, 2, 2))
         for mode in (1, 2):
+            grid = moments.mode_c_grid(xs, mode, 1)
             for (i, j) in ((1, 1), (1, 2)):
-                got = moments.mode_c_tau_ij(xs, mode, 1, i, j)
                 want = oracles.naive_mode_c_tau_ij(xs, mode, 1, i, j)
-                assert np.allclose(got, want, atol=1e-12)
+                assert np.allclose(grid[i - 1, j - 1], want, atol=1e-12)
 
     def test_grid_matches_single_calls(self):
         xs = rng.standard_normal((15, 3, 2))
@@ -272,7 +287,7 @@ class TestModeCTauIJ:
         for i in (1, 2):
             for j in (1, 2):
                 assert np.allclose(grid[i - 1, j - 1],
-                                   moments.mode_c_tau_ij(xs, 2, 1, i, j), atol=1e-13)
+                                   oracles.naive_mode_c_tau_ij(xs, 2, 1, i, j), atol=1e-13)
 
 
 class TestStructuralInvariants:
@@ -290,8 +305,10 @@ class TestStructuralInvariants:
         # joint diagonalizer
         xs = rng.standard_normal((25, 4))
         s0 = moments.sigma_tau(xs, 0)
+        mode_grid = moments.mode_c_grid(xs, 1, 0)
+        vector_grid = moments.c_tau_grid(xs, 0)
         for (i, j) in ((1, 1), (2, 4)):
-            diff = moments.mode_c_tau_ij(xs, 1, 0, i, j) - moments.c_tau_ij(xs, 0, i, j)
+            diff = mode_grid[i - 1, j - 1] - vector_grid[i - 1, j - 1]
             want = (1.0 if i == j else 0.0) * np.eye(4) - s0 @ s0.T
             assert np.allclose(diff, want, atol=1e-12)
 
@@ -305,8 +322,8 @@ class TestStructuralInvariants:
                                moments.mode_autocov(swapped, 1, tau), atol=1e-14)
             assert np.allclose(moments.mode_b_tau(xs, 1, tau),
                                moments.mode_b_tau(swapped, 1, tau), atol=1e-14)
-        assert np.allclose(moments.mode_c_tau_ij(xs, 1, 1, 1, 2),
-                           moments.mode_c_tau_ij(swapped, 1, 1, 1, 2), atol=1e-14)
+        assert np.allclose(moments.mode_c_grid(xs, 1, 1)[0, 1],
+                           moments.mode_c_grid(swapped, 1, 1)[0, 1], atol=1e-14)
 
     def test_orthogonal_transformation_identity(self):
         # finite-sample transformation law for the joint lagged fourth moments
@@ -323,15 +340,12 @@ class TestStructuralInvariants:
         taus = (0, 1, 1, 0)
         m = 1
         u = us[0]
-        grid_z = np.stack([
-            np.stack([moments.mode_b_lags(zs, m, taus, k, l) for l in (1, 2, 3)])
-            for k in (1, 2, 3)
-        ])
+        grid_z = moments.mode_b_lags_grid(zs, m, taus)
+        grid_x = moments.mode_b_lags_grid(xs, m, taus)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 want = np.zeros((3, 3))
                 for k in range(3):
                     for l in range(3):
                         want += u[i - 1, k] * u[j - 1, l] * (u @ grid_z[k, l] @ u.T)
-                got = moments.mode_b_lags(xs, m, taus, i, j)
-                assert np.allclose(got, want, atol=1e-10)
+                assert np.allclose(grid_x[i - 1, j - 1], want, atol=1e-10)

@@ -1,0 +1,91 @@
+"""Dump every fitted array of the ten methods on fixed inputs, or compare two dumps.
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/fit_fingerprint.py dump <src dir> <out.npz>
+    python3 tools/fit_fingerprint.py compare <a.npz> <b.npz>
+
+Dump once with the `src/` of each of two checkouts, with the same BLAS and
+thread count, to check that a refactor leaves every fit unchanged; the
+comparison prints the largest absolute difference per method kind and field.
+
+Inputs: arma-mc replicates (T = 2000) and sv-mc replicates (T = 8000) of
+seeds 301 and 302, reps 0 and 1, drawn as perfbench draws them (haar
+mixing, default_rng([seed, 0, rep])), all ten methods; plus a
+frames-cli-shaped 2000x10x8x3 series (seed 301), five tensor methods.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def dump(src, out):
+    sys.path.insert(0, str(Path(src).resolve()))
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tensorbss import bss, metrics, simgen
+    import workloads
+
+    arrays = {}
+
+    def record(key, res, omega):
+        for field in ("mode_unmixers", "rotations", "whiteners"):
+            for m, a in enumerate(getattr(res, field)):
+                arrays[f"{key}|{field}|{m}"] = a
+        arrays[f"{key}|recovered"] = res.recovered
+        arrays[f"{key}|mean"] = res.mean
+        for m, d in enumerate(res.diagnostics["joint_diag"]):
+            arrays[f"{key}|diag|{m}"] = np.array(
+                [d["objective"], d["sweeps_used"], float(d["converged"])])
+        arrays[f"{key}|mdi"] = np.array(
+            metrics.mdi(metrics.kron_unmixing(res.mode_unmixers), omega).value)
+
+    for setting, t in (("arma", 2000), ("sv", 8000)):
+        for seed in (301, 302):
+            for rep in (0, 1):
+                rng = np.random.default_rng([seed, 0, rep])
+                zs = simgen.gen_latent_setting(setting, t, rng)
+                mats = simgen.gen_mixing((3, 2, 2), "haar", rng)
+                xs = simgen.mix(zs, mats)
+                omega = metrics.kron_unmixing(mats)
+                for method in bss.METHOD_NAMES:
+                    res = bss.unmix(xs, method)
+                    record(f"{setting}/{seed}/{rep}/{method}", res, omega)
+    xs, mats = workloads.gen_frames((10, 8, 3), 2000, np.random.default_rng([301, 2]))
+    omega = metrics.kron_unmixing(mats)
+    for method, (_, tensor_path, _) in bss.METHOD_NAMES.items():
+        if tensor_path:
+            record(f"frames/{method}", bss.unmix(xs, method), omega)
+    np.savez(out, **arrays)
+    print(f"{len(arrays)} arrays written to {out}")
+
+
+def compare(a_path, b_path):
+    a, b = np.load(a_path), np.load(b_path)
+    if set(a.files) != set(b.files):
+        raise SystemExit(f"the dumps hold different arrays: {sorted(set(a.files) ^ set(b.files))}")
+    vector = ("sobi", "gfobi", "gjade", "fobi", "jade")
+    worst = {}
+    for key in sorted(a.files):
+        fit, field = key.split("|")[:2]
+        kind = "vector" if fit.split("/")[-1] in vector else "tensor"
+        x, y = a[key], b[key]
+        if x.shape != y.shape:
+            diff = float("inf")
+        elif np.array_equal(x, y, equal_nan=True):
+            diff = 0.0
+        else:
+            d = np.abs(x - y)
+            diff = float(d.max()) if np.isfinite(d).all() else float("inf")
+        worst[kind, field] = max(worst.get((kind, field), 0.0), diff)
+    fits = len({key.split("|")[0] for key in a.files})
+    print(f"{fits} fits, {len(a.files)} arrays compared")
+    for (kind, field), diff in sorted(worst.items()):
+        tag = "bit-identical" if diff == 0.0 else f"max abs diff {diff:.3e}"
+        print(f"{kind:6s} {field:14s} {tag}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "dump":
+        dump(sys.argv[2], sys.argv[3])
+    else:
+        compare(sys.argv[2], sys.argv[3])
