@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -43,6 +44,11 @@ class ExperimentSpec:
         unlisted = sorted(set(self.lags) - set(self.methods))
         if unlisted:
             raise ValueError(f"lag overrides for methods not in the method list: {unlisted}")
+        cells = int(np.prod(self.dims))
+        models = len(SETTINGS[self.setting]())
+        if cells != models:
+            raise ValueError(f"dims {tuple(self.dims)} hold {cells} cells, "
+                             f"setting {self.setting!r} defines {models} component models")
         max_lag = 0
         for m in self.methods:
             if m not in METHOD_NAMES:
@@ -136,16 +142,11 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
     start = time.time()
     tasks = [(ti, rep) for ti in range(len(spec.lengths))
              for rep in range(spec.replicates)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_run_replicate,
-                                [spec] * len(tasks),
-                                [ti for ti, _ in tasks],
-                                [rep for _, rep in tasks]))
-    else:
-        raw = []
-        for ti, rep in tasks:
-            raw.append(_run_replicate(spec, ti, rep))
+    args = ([spec] * len(tasks), [ti for ti, _ in tasks], [rep for _, rep in tasks])
+    raw = []
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for result in (pool.map if pool else map)(_run_replicate, *args):
+            raw.append(result)
             if progress:
                 progress(len(raw), len(tasks))
     replicate_results = [

@@ -3,12 +3,13 @@
 Vector path: SOBI, gFOBI, gJADE and the lag-{0} special cases FOBI, JADE.
 Tensor path: TSOBI, TgFOBI, TgJADE and TFOBI, TJADE.
 
-All ten share one per-mode fit; a vector series is a one-mode series
-whose covariance is sigma_tau(., 0).  The fit centers, estimates all mode
-covariances, standardizes from every mode simultaneously, builds each
-mode's matrix set from that standardized series (`_LAG_MATRICES`, keyed by
-family and path; vector gjade places its lags differently from tgjade),
-diagonalizes each mode, and forms Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
+All ten share one per-mode fit; a vector series is the one-mode series
+whose mode functionals (`moments`, with rho = 1) are the vector moments.
+The fit centers, estimates all mode covariances, standardizes from every
+mode simultaneously, builds each mode's matrix set from that standardized
+series (`_LAG_MATRICES`, keyed by family; vector gjade places its lags
+differently from tgjade and has its own entry), diagonalizes each mode,
+and forms Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
 """
 
 from __future__ import annotations
@@ -96,15 +97,14 @@ class UnmixingResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-# (family, tensor path) -> the matrix, or (p, p, p, p) grid of matrices, that
-# lag tau contributes on mode m of the standardized series
+# family -> the matrix, or (p, p, p, p) grid of matrices, that lag tau
+# contributes on mode m of the standardized series; the lambdas look the
+# functions up at call time, so a wrapper set on `moments` sees every call
 _LAG_MATRICES = {
-    ("sobi", False): lambda ys, m, tau: moments.sigma_tau(ys, tau, symmetrize=True),
-    ("gfobi", False): lambda ys, m, tau: moments.b_tau(ys, tau),
-    ("gjade", False): lambda ys, m, tau: moments.c_tau_grid(ys, tau),
-    ("sobi", True): lambda ys, m, tau: moments.mode_autocov(ys, m, tau, symmetrize=True),
-    ("gfobi", True): lambda ys, m, tau: moments.mode_b_tau(ys, m, tau),
-    ("gjade", True): lambda ys, m, tau: moments.mode_c_grid(ys, m, tau),
+    "sobi": lambda ys, m, tau: moments.mode_autocov(ys, m, tau, symmetrize=True),
+    "gfobi": lambda ys, m, tau: moments.mode_b_tau(ys, m, tau),
+    "gjade": lambda ys, m, tau: moments.mode_c_grid(ys, m, tau),
+    "vector gjade": lambda ys, m, tau: moments.c_tau_grid(ys, tau),
 }
 
 
@@ -113,7 +113,7 @@ def whiten_vector(xs: np.ndarray):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValueError("vector whitening expects a series of shape (T, p)")
-    ys, whiteners = _standardize(xs, tensor_path=False)
+    ys, whiteners = _standardize(xs)
     return ys, whiteners[0]
 
 
@@ -126,17 +126,15 @@ def whiten_tensor(xs: np.ndarray):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim < 2:
         raise ValueError("tensor whitening expects a series of shape (T, p_1, ..., p_r)")
-    return _standardize(xs, tensor_path=True)
+    return _standardize(xs)
 
 
-def _standardize(xc: np.ndarray, tensor_path: bool):
+def _standardize(xc: np.ndarray):
     """Whiten every mode of a centered series with covariances taken from the input."""
     whiteners = []
     for m in range(1, xc.ndim):
-        cov = (moments.mode_cov(xc, m) if tensor_path
-               else moments.sigma_tau(xc, 0, symmetrize=True))
         try:
-            whiteners.append(sym_inv_sqrt(cov))
+            whiteners.append(sym_inv_sqrt(moments.mode_cov(xc, m)))
         except RankDeficiencyError as exc:
             raise RankDeficiencyError(f"mode {m}: {exc}") from exc
     ys = xc
@@ -151,10 +149,11 @@ def _fit(xs: np.ndarray, cfg: MethodConfig, tensor_path: bool) -> UnmixingResult
         raise ValueError("series shorter than the largest lag")
     if not np.isfinite(xs).all():
         raise ValueError("series contains NaN or infinite values")
-    lag_matrices = _LAG_MATRICES[cfg.family, tensor_path]
+    vector_gjade = (cfg.family, tensor_path) == ("gjade", False)
+    lag_matrices = _LAG_MATRICES["vector gjade" if vector_gjade else cfg.family]
     mean = xs.mean(axis=0)
     xc = xs - mean
-    ys, whiteners = _standardize(xc, tensor_path)
+    ys, whiteners = _standardize(xc)
     rotations, gammas, diag_info = [], [], []
     recovered = ys
     for m, w in enumerate(whiteners, start=1):

@@ -37,8 +37,7 @@ def write_matrices(path, mats) -> None:
         for m, a in enumerate(mats, start=1):
             a = np.asarray(a, dtype=float)
             fh.write(f"mode={m} rows={a.shape[0]} cols={a.shape[1]}\n")
-            for row in a:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            np.savetxt(fh, a, fmt="%.17g")
 
 
 def read_matrices(path) -> list:
@@ -48,14 +47,17 @@ def read_matrices(path) -> list:
             raise ValueError(f"malformed matrix file header: {header!r}")
         count = int(header.removeprefix("matrices="))
         mats = []
-        for _ in range(count):
-            meta = dict(kv.split("=") for kv in fh.readline().split())
+        for k in range(1, count + 1):
+            line = fh.readline()
+            meta = dict(kv.split("=", 1) for kv in line.split() if "=" in kv)
+            if "rows" not in meta or "cols" not in meta:
+                raise ValueError(f"{path}: matrix block {k} of {count} has no "
+                                 f"'rows=... cols=...' header line, got {line.strip()!r}")
             rows, cols = int(meta["rows"]), int(meta["cols"])
             block = [np.fromstring(fh.readline(), sep=" ") for _ in range(rows)]
-            a = np.array(block)
-            if a.shape != (rows, cols):
-                raise ValueError(f"matrix block in {path} has wrong shape")
-            mats.append(a)
+            if rows < 1 or any(r.shape != (cols,) for r in block):
+                raise ValueError(f"{path}: matrix block {k} of {count} is not {rows}x{cols}")
+            mats.append(np.array(block))
     return mats
 
 

@@ -1,30 +1,31 @@
-"""Lagged moment functionals for vector and tensor-valued series.
+"""Lagged moment functionals of the m-flattenings of a series.
 
 All functionals are finite-sample estimators: the expectation is the
 average over the valid time range, dividing by the number of summands,
 T - max(lags used).  Inputs are assumed pre-centered; no re-centering
 happens here.
 
-Vector series have shape (T, p).  Tensor series have shape
-(T, p_1, ..., p_r); the mode variants work on the m-flattenings and carry
-the 1/rho_m factor.
+A tensor series has shape (T, p_1, ..., p_r); each functional works on
+the mode-m flattenings X_t of shape (p_m, rho_m) and carries the 1/rho_m
+factor.  A vector series of shape (T, p) is the mode-1 case with
+rho_1 = 1, where the functionals are the vector SOBI/gFOBI moments.
+Every grid is built from the lag products X_{t+a} X_{t+b}^T.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .tensor import series_flatten
 
 __all__ = [
-    "sigma_tau",
-    "b_tau",
-    "b_tau_grid",
-    "c_tau_grid",
     "mode_cov",
     "mode_autocov",
     "mode_b_tau",
     "mode_b_lags_grid",
+    "c_tau_grid",
     "mode_c_grid",
 ]
 
@@ -34,77 +35,16 @@ def _check_lag(tau: int, t: int) -> None:
         raise ValueError(f"lag {tau} out of range for series of length {t}")
 
 
-def _pair_units(p: int):
-    """Yield (i, j, E_ij + E_ji) over all 0-based index pairs, j fastest."""
-    for i in range(p):
-        for j in range(p):
-            e = np.zeros((p, p))
-            e[i, j] += 1.0
-            e[j, i] += 1.0
-            yield i, j, e
+def _lag_products(f: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """F_{t+a} F_{t+b}^T for t < n, each flattened; shape (n, p * p)."""
+    return np.matmul(f[a:a + n], f[b:b + n].swapaxes(1, 2)).reshape(n, -1)
 
 
-# ---------------------------------------------------------------------------
-# vector family
-
-
-def sigma_tau(xs: np.ndarray, tau: int, symmetrize: bool = False) -> np.ndarray:
-    """Lagged covariance E[x_t x_{t+tau}^T]."""
-    xs = np.asarray(xs, dtype=float)
-    t = xs.shape[0]
-    _check_lag(tau, t)
-    n = t - tau
-    m = xs[:n].T @ xs[tau:tau + n] / n
-    if symmetrize:
-        m = 0.5 * (m + m.T)
-    return m
-
-
-def b_tau(xs: np.ndarray, tau: int) -> np.ndarray:
-    """Lagged fourth-moment matrix E[x_t x_{t+tau}^T x_{t+tau} x_t^T]."""
-    xs = np.asarray(xs, dtype=float)
-    t = xs.shape[0]
-    _check_lag(tau, t)
-    n = t - tau
-    w = np.einsum("ti,ti->t", xs[tau:tau + n], xs[tau:tau + n])
-    return np.einsum("t,ti,tj->ij", w, xs[:n], xs[:n]) / n
-
-
-def b_tau_grid(xs: np.ndarray, tau: int) -> np.ndarray:
-    """Joint lagged fourth moments for all index pairs; shape (p, p, p, p).
-
-    Entry [i-1, j-1] is B_ij = E[(x_{t+tau})_i (x_{t+tau})_j x_t x_t^T].
-    """
-    xs = np.asarray(xs, dtype=float)
-    t, p = xs.shape
-    _check_lag(tau, t)
-    n = t - tau
-    lead = xs[tau:tau + n]
-    w = np.einsum("ti,tj->tij", lead, lead).reshape(n, p * p)
-    base = np.einsum("tk,tl->tkl", xs[:n], xs[:n]).reshape(n, p * p)
-    return (w.T @ base).reshape(p, p, p, p) / n
-
-
-def c_tau_grid(xs: np.ndarray, tau: int) -> np.ndarray:
-    """All gJADE cumulant-type matrices for a lag; shape (p, p, p, p) indexed [i-1, j-1].
-
-    C_ij = B_ij - S (E_ij + E_ji) S^T - delta_ij I, with B_ij the entries of
-    :func:`b_tau_grid` and S = sigma_tau(xs, tau).
-    """
-    b = b_tau_grid(xs, tau)
-    s = sigma_tau(xs, tau)
-    p = s.shape[0]
-    out = np.empty_like(b)
-    for i, j, e in _pair_units(p):
-        c = b[i, j] - s @ e @ s.T
-        if i == j:
-            c = c - np.eye(p)
-        out[i, j] = c
-    return out
-
-
-# ---------------------------------------------------------------------------
-# mode (tensor) family
+def _grid(w: np.ndarray, base: np.ndarray, rho: int) -> np.ndarray:
+    """(1/(n rho)) sum_t w_t[i, j] base_t as a (p, p, p, p) grid, from flat products."""
+    n, pp = w.shape
+    p = math.isqrt(pp)
+    return (w.T @ base).reshape(p, p, p, p) / (n * rho)
 
 
 def mode_cov(xs: np.ndarray, mode: int) -> np.ndarray:
@@ -118,7 +58,7 @@ def mode_autocov(xs: np.ndarray, mode: int, tau: int, symmetrize: bool = True) -
     t, _, rho = f.shape
     _check_lag(tau, t)
     n = t - tau
-    m = np.einsum("tij,tkj->ik", f[:n], f[tau:tau + n]) / (n * rho)
+    m = np.tensordot(f[:n], f[tau:tau + n], axes=([0, 2], [0, 2])) / (n * rho)
     if symmetrize:
         m = 0.5 * (m + m.T)
     return m
@@ -127,11 +67,11 @@ def mode_autocov(xs: np.ndarray, mode: int, tau: int, symmetrize: bool = True) -
 def mode_b_tau(xs: np.ndarray, mode: int, tau: int) -> np.ndarray:
     """Mode lagged fourth moment (1/rho_m) E[X_t X_{t+tau}^T X_{t+tau} X_t^T] on flattenings."""
     f = series_flatten(xs, mode)
-    t, _, rho = f.shape
+    t, p, rho = f.shape
     _check_lag(tau, t)
     n = t - tau
-    g = np.einsum("tij,tkj->tik", f[:n], f[tau:tau + n])
-    return np.einsum("tik,tjk->ij", g, g) / (n * rho)
+    g = _lag_products(f, 0, tau, n).reshape(n, p, p)
+    return np.tensordot(g, g, axes=([0, 2], [0, 2])) / (n * rho)
 
 
 def mode_b_lags_grid(xs: np.ndarray, mode: int, taus) -> np.ndarray:
@@ -141,14 +81,31 @@ def mode_b_lags_grid(xs: np.ndarray, mode: int, taus) -> np.ndarray:
     (1/rho_m) E[(e_i^T X_{t+tau1} X_{t+tau2}^T e_j) X_{t+tau3} X_{t+tau4}^T].
     """
     f = series_flatten(xs, mode)
-    t, p, rho = f.shape
+    t, _, rho = f.shape
     t1, t2, t3, t4 = (int(v) for v in taus)
     for tau in (t1, t2, t3, t4):
         _check_lag(tau, t)
     n = t - max(t1, t2, t3, t4)
-    w = np.einsum("tik,tjk->tij", f[t1:t1 + n], f[t2:t2 + n]).reshape(n, p * p)
-    base = np.einsum("tik,tjk->tij", f[t3:t3 + n], f[t4:t4 + n]).reshape(n, p * p)
-    return (w.T @ base).reshape(p, p, p, p) / (n * rho)
+    return _grid(_lag_products(f, t1, t2, n), _lag_products(f, t3, t4, n), rho)
+
+
+def _pair_term(s: np.ndarray) -> np.ndarray:
+    """S (E_ij + E_ji) S^T for all index pairs; shape (p, p, p, p) indexed [i, j]."""
+    outer = np.einsum("ki,lj->ijkl", s, s)
+    return outer + outer.transpose(1, 0, 2, 3)
+
+
+def c_tau_grid(xs: np.ndarray, tau: int) -> np.ndarray:
+    """All vector gJADE matrices for a lag; shape (p, p, p, p) indexed [i-1, j-1].
+
+    C_ij = B_ij - S (E_ij + E_ji) S^T - delta_ij I, with
+    B_ij = E[(x_{t+tau})_i (x_{t+tau})_j x_t x_t^T] and S = E[x_t x_{t+tau}^T].
+    """
+    out = (mode_b_lags_grid(xs, 1, (tau, tau, 0, 0))
+           - _pair_term(mode_autocov(xs, 1, tau, symmetrize=False)))
+    p = out.shape[0]
+    out[range(p), range(p)] -= np.eye(p)
+    return out
 
 
 def mode_c_grid(xs: np.ndarray, mode: int, tau: int) -> np.ndarray:
@@ -156,14 +113,16 @@ def mode_c_grid(xs: np.ndarray, mode: int, tau: int) -> np.ndarray:
 
     C^m_ij = B_ij(0, tau, tau, 0) + B_ij(0, tau, 0, tau) - B_ij(tau, tau, 0, 0)
     - S_0 (E_ij + E_ji + I) S_0^T, with B the grids of :func:`mode_b_lags_grid`
-    and S_0 the mode covariance.
+    and S_0 the mode covariance.  All three B grids come from the products
+    A_t = X_t X_{t+tau}^T and Q_t = X_t X_t^T.
     """
-    g1 = mode_b_lags_grid(xs, mode, (0, tau, tau, 0))
-    g2 = mode_b_lags_grid(xs, mode, (0, tau, 0, tau))
-    g3 = mode_b_lags_grid(xs, mode, (tau, tau, 0, 0))
-    s0 = mode_cov(xs, mode)
-    p = s0.shape[0]
-    out = np.empty((p, p, p, p))
-    for i, j, e in _pair_units(p):
-        out[i, j] = g1[i, j] + g2[i, j] - g3[i, j] - s0 @ (e + np.eye(p)) @ s0.T
-    return out
+    f = series_flatten(xs, mode)
+    t, p, rho = f.shape
+    _check_lag(tau, t)
+    n = t - tau
+    a = _lag_products(f, 0, tau, n)
+    q = _lag_products(f, 0, 0, t)
+    a_sum = a + a.reshape(n, p, p).swapaxes(1, 2).reshape(n, -1)
+    s0 = q.sum(axis=0).reshape(p, p) / (t * rho)
+    return (_grid(a, a_sum, rho) - _grid(q[tau:], q[:n], rho)
+            - _pair_term(s0) - s0 @ s0.T)

@@ -8,6 +8,7 @@ index fastest).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,8 @@ class GarchSpec:
     def __post_init__(self):
         if sum(self.alpha) + sum(self.beta) >= 1:
             raise ValueError("GARCH stationarity requires sum(alpha) + sum(beta) < 1")
+        if any(c < 0 for c in (*self.alpha, *self.beta)):
+            raise ValueError("GARCH coefficients must be non-negative")
 
 
 @dataclass
@@ -107,28 +110,26 @@ def gen_garch(spec: GarchSpec, t: int, rng: np.random.Generator) -> np.ndarray:
     """Generate a GARCH series with unit unconditional variance, then rescale."""
     if t < 1:
         raise ValueError("series length must be positive")
-    alpha = np.asarray(spec.alpha, dtype=float)
-    beta = np.asarray(spec.beta, dtype=float)
-    omega = 1.0 - alpha.sum() - beta.sum()
-    q, pl = len(alpha), len(beta)
-    n = t + BURN_IN
-    eps = rng.standard_normal(n)
-    y2 = np.ones(q)  # pre-sample squared values at the unconditional variance
-    s2 = np.ones(pl)
-    y = np.empty(n)
-    for k in range(n):
+    alpha = [float(a) for a in spec.alpha]
+    beta = [float(b) for b in spec.beta]
+    omega = float(1.0 - np.sum(alpha) - np.sum(beta))
+    eps = rng.standard_normal(t + BURN_IN)
+    # squared values and variances, newest last; the pre-sample sits at the
+    # unconditional variance
+    y2 = [1.0] * len(alpha)
+    s2 = [1.0] * len(beta)
+    y = []
+    for e in eps.tolist():
         var = omega
-        if q:
-            var += alpha @ y2
-        if pl:
-            var += beta @ s2
-        yk = np.sqrt(var) * eps[k]
-        y[k] = yk
-        if q:
-            y2 = np.r_[yk * yk, y2[:-1]]
-        if pl:
-            s2 = np.r_[var, s2[:-1]]
-    y = y[BURN_IN:]
+        for i, a in enumerate(alpha):
+            var += a * y2[-1 - i]
+        for i, b in enumerate(beta):
+            var += b * s2[-1 - i]
+        yk = math.sqrt(var) * e
+        y.append(yk)
+        y2.append(yk * yk)
+        s2.append(var)
+    y = np.array(y[BURN_IN:])
     if not np.all(np.isfinite(y)):
         raise ValueError("GARCH recursion diverged")
     return _rescale(y, center=False)

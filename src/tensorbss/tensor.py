@@ -157,8 +157,7 @@ def write_series(path, xs: np.ndarray) -> None:
     flat = series_components(xs)
     with open(path, "w") as fh:
         fh.write(f"dims={','.join(str(d) for d in dims)};T={xs.shape[0]}\n")
-        for row in flat:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, flat, fmt="%.17g")
 
 
 def read_series(path) -> np.ndarray:

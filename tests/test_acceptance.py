@@ -103,9 +103,10 @@ def test_criterion_2_moment_functionals_match_oracles(report):
 
     # the (i, j) matrices are checked as entries [i-1, j-1] of the grids the fit uses
     for tau in (0, 1, 3):
-        track(moments.sigma_tau(flat, tau), oracles.naive_sigma_tau(flat, tau))
-        track(moments.b_tau(flat, tau), oracles.naive_b_tau(flat, tau))
-        b_grid = moments.b_tau_grid(flat, tau)
+        track(moments.mode_autocov(flat, 1, tau, symmetrize=False),
+              oracles.naive_sigma_tau(flat, tau))
+        track(moments.mode_b_tau(flat, 1, tau), oracles.naive_b_tau(flat, tau))
+        b_grid = moments.mode_b_lags_grid(flat, 1, (tau, tau, 0, 0))
         c_grid = moments.c_tau_grid(flat, tau)
         for i, j in ((1, 1), (2, 5), (12, 3)):
             track(b_grid[i - 1, j - 1], oracles.naive_b_tau_ij(flat, tau, i, j))

@@ -72,6 +72,10 @@ class TestSpecParsing:
             ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
                            methods=(method,), lags={method: lags})
 
+    def test_dims_not_matching_setting_rejected(self):
+        with pytest.raises(ValueError, match="6 cells"):
+            ExperimentSpec(setting="arma", mixing="haar", dims=(3, 2), lengths=(200,))
+
     def test_lag_override_for_unlisted_method_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="bogus"):
             parse_experiment_spec(write_spec(tmp_path, SPEC_TEXT + "lags.bogus = 1:3\n"))
@@ -96,6 +100,13 @@ class TestRunBenchmark:
         parallel = run_benchmark(spec, jobs=2)
         assert serial["replicates"] == parallel["replicates"]
         assert serial["aggregates"] == parallel["aggregates"]
+
+    def test_progress_reported_with_jobs(self):
+        spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
+                              methods=("tsobi",), replicates=3, seed=11)
+        seen = []
+        run_benchmark(spec, jobs=2, progress=lambda done, total: seen.append((done, total)))
+        assert seen == [(1, 3), (2, 3), (3, 3)]
 
     def test_seed_changes_results(self, tmp_path):
         spec = parse_experiment_spec(write_spec(tmp_path))
@@ -267,3 +278,15 @@ class TestMatrixFileFormat:
         path.write_text("rows=2 cols=2\n1 0\n0 1\n")
         with pytest.raises(ValueError):
             read_matrices(path)
+
+    @pytest.mark.parametrize("text", [
+        "matrices=2\nmode=1 rows=2 cols=2\n1 0\n0 1\n",  # truncated after one block
+        "matrices=1\nmode=1 cols=2\n1 0\n0 1\n",  # block header without rows=
+        "matrices=1\nmode=1 rows=2 cols=2\n1 0\n",  # block cut short
+    ])
+    def test_bad_block_header_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["evaluate", "--unmixers", str(path), "--mixing", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "matrix block" in err

@@ -33,7 +33,8 @@ class TestWhitening:
         xs = rng.standard_normal((500, 4)) @ rng.standard_normal((4, 4))
         xs -= xs.mean(axis=0)
         ys, w = whiten_vector(xs)
-        np.testing.assert_allclose(moments.sigma_tau(ys, 0), np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(moments.mode_autocov(ys, 1, 0, symmetrize=False), np.eye(4),
+                                   atol=1e-10)
 
     def test_vector_whitener_for_diagonal_covariance(self):
         rng = np.random.default_rng(1)

@@ -16,69 +16,70 @@ class TestSigmaTau:
         xs = xs - xs.mean(axis=0)
         w = np.linalg.inv(np.linalg.cholesky(xs.T @ xs / len(xs)))
         ys = xs @ w.T
-        assert np.allclose(moments.sigma_tau(ys, 0), np.eye(3), atol=1e-10)
+        assert np.allclose(moments.mode_autocov(ys, 1, 0, symmetrize=False), np.eye(3),
+                           atol=1e-10)
 
     def test_two_point_hand_value(self):
         xs = np.array([[1.0, 0.0], [0.0, 1.0]])
         expected = np.array([[0.0, 1.0], [0.0, 0.0]])  # single summand outer(x1, x2)
-        assert np.array_equal(moments.sigma_tau(xs, 1), expected)
+        assert np.array_equal(moments.mode_autocov(xs, 1, 1, symmetrize=False), expected)
 
     def test_ar1_autocovariance(self):
         r = np.random.default_rng(5)
         xs = np.column_stack([gen_arma(ArmaSpec(phi=(0.9,)), 50000, r) for _ in range(2)])
-        s1 = moments.sigma_tau(xs, 1)
+        s1 = moments.mode_autocov(xs, 1, 1, symmetrize=False)
         assert abs(s1[0, 0] - 0.9) < 0.02
         assert abs(s1[1, 1] - 0.9) < 0.02
 
     def test_symmetrize_flag(self):
         xs = rng.standard_normal((50, 3))
-        m = moments.sigma_tau(xs, 2, symmetrize=True)
+        m = moments.mode_autocov(xs, 1, 2, symmetrize=True)
         assert np.array_equal(m, m.T)
-        raw = moments.sigma_tau(xs, 2)
+        raw = moments.mode_autocov(xs, 1, 2, symmetrize=False)
         assert np.allclose(m, 0.5 * (raw + raw.T))
 
     def test_lag_out_of_range(self):
         with pytest.raises(ValueError):
-            moments.sigma_tau(rng.standard_normal((5, 2)), 5)
+            moments.mode_autocov(rng.standard_normal((5, 2)), 1, 5, symmetrize=False)
 
     def test_matches_oracle(self):
         xs = rng.standard_normal((30, 3))
         for tau in (0, 1, 3):
-            assert np.allclose(moments.sigma_tau(xs, tau),
+            assert np.allclose(moments.mode_autocov(xs, 1, tau, symmetrize=False),
                                oracles.naive_sigma_tau(xs, tau), atol=1e-12)
 
 
 class TestBTau:
     def test_gaussian_fourth_moment(self):
         xs = np.random.default_rng(11).standard_normal((200000, 3))
-        b0 = moments.b_tau(xs, 0)
+        b0 = moments.mode_b_tau(xs, 1, 0)
         assert np.allclose(b0, 5.0 * np.eye(3), atol=0.08)  # (p + 2) I for p = 3
 
     def test_single_frame(self):
         x = rng.standard_normal(4)
-        b = moments.b_tau(x[None, :], 0)
+        b = moments.mode_b_tau(x[None, :], 1, 0)
         assert np.allclose(b, (x @ x) * np.outer(x, x), atol=1e-14)
 
     def test_matches_oracle(self):
         xs = rng.standard_normal((30, 3))
         for tau in (0, 2):
-            assert np.allclose(moments.b_tau(xs, tau),
+            assert np.allclose(moments.mode_b_tau(xs, 1, tau),
                                oracles.naive_b_tau(xs, tau), atol=1e-12)
 
 
 class TestBTauIJ:
-    """Entries of b_tau_grid, the joint lagged fourth moments B_ij."""
+    """Entries of mode_b_lags_grid(x, 1, (tau, tau, 0, 0)), the vector B_ij."""
 
     def test_sum_over_diagonal_recovers_b_tau(self):
         xs = rng.standard_normal((40, 3))
-        grid = moments.b_tau_grid(xs, 1)
+        grid = moments.mode_b_lags_grid(xs, 1, (1, 1, 0, 0))
         total = sum(grid[i, i] for i in range(3))
-        assert np.allclose(total, moments.b_tau(xs, 1), atol=1e-12)
+        assert np.allclose(total, moments.mode_b_tau(xs, 1, 1), atol=1e-12)
 
     def test_one_hot_series(self):
         xs = np.zeros((4, 2))
         xs[:, 0] = [1.0, 2.0, 1.0, 2.0]
-        b = moments.b_tau_grid(xs, 0)[0, 0]
+        b = moments.mode_b_lags_grid(xs, 1, (0, 0, 0, 0))[0, 0]
         # weight x_{t,1}^2 times outer(x_t, x_t), averaged
         expected = np.mean([x[0] ** 2 * np.outer(x, x) for x in xs], axis=0)
         assert np.allclose(b, expected, atol=1e-14)
@@ -86,7 +87,7 @@ class TestBTauIJ:
     def test_matches_oracle(self):
         xs = rng.standard_normal((20, 3))
         for tau in (0, 1):
-            grid = moments.b_tau_grid(xs, tau)
+            grid = moments.mode_b_lags_grid(xs, 1, (tau, tau, 0, 0))
             for i in (1, 3):
                 for j in (1, 2):
                     assert np.allclose(grid[i - 1, j - 1],
@@ -94,11 +95,11 @@ class TestBTauIJ:
 
     def test_lag_out_of_range(self):
         with pytest.raises(ValueError):
-            moments.b_tau_grid(rng.standard_normal((10, 2)), 10)
+            moments.mode_b_lags_grid(rng.standard_normal((10, 2)), 1, (10, 10, 0, 0))
 
     def test_grid_matches_single_calls(self):
         xs = rng.standard_normal((25, 3))
-        grid = moments.b_tau_grid(xs, 2)
+        grid = moments.mode_b_lags_grid(xs, 1, (2, 2, 0, 0))
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 assert np.allclose(grid[i - 1, j - 1],
@@ -116,8 +117,8 @@ class TestCTauIJ:
 
     def test_delta_term_only_on_diagonal_indices(self):
         xs = rng.standard_normal((30, 2))
-        b = moments.b_tau_grid(xs, 1)[0, 1]
-        s = moments.sigma_tau(xs, 1)
+        b = moments.mode_b_lags_grid(xs, 1, (1, 1, 0, 0))[0, 1]
+        s = moments.mode_autocov(xs, 1, 1, symmetrize=False)
         e = np.zeros((2, 2))
         e[0, 1] = e[1, 0] = 1.0
         assert np.allclose(moments.c_tau_grid(xs, 1)[0, 1], b - s @ e @ s.T, atol=1e-14)
@@ -294,9 +295,9 @@ class TestStructuralInvariants:
     def test_order1_mode_functionals_reduce_to_vector(self):
         xs = rng.standard_normal((25, 4))
         assert np.allclose(moments.mode_autocov(xs, 1, 2, symmetrize=False),
-                           moments.sigma_tau(xs, 2), atol=1e-13)
+                           oracles.naive_sigma_tau(xs, 2), atol=1e-13)
         assert np.allclose(moments.mode_b_tau(xs, 1, 1),
-                           moments.b_tau(xs, 1), atol=1e-13)
+                           oracles.naive_b_tau(xs, 1), atol=1e-13)
 
     def test_order1_c_differs_only_by_identity_shift(self):
         # the mode C subtracts S0 (E + E' + I) S0' while the vector C
@@ -304,7 +305,7 @@ class TestStructuralInvariants:
         # up to a multiple of S0 S0' - delta_ij I, which does not move the
         # joint diagonalizer
         xs = rng.standard_normal((25, 4))
-        s0 = moments.sigma_tau(xs, 0)
+        s0 = moments.mode_autocov(xs, 1, 0, symmetrize=False)
         mode_grid = moments.mode_c_grid(xs, 1, 0)
         vector_grid = moments.c_tau_grid(xs, 0)
         for (i, j) in ((1, 1), (2, 4)):

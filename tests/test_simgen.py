@@ -78,6 +78,10 @@ class TestGarch:
         with pytest.raises(ValueError):
             GarchSpec(alpha=(0.5,), beta=(0.5,))
 
+    def test_negative_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            GarchSpec(alpha=(0.5, -0.1))
+
 
 class TestSv:
     def test_unit_variance_and_volatility_clustering(self):

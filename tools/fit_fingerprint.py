@@ -5,7 +5,8 @@
 
 Dump once with the `src/` of each of two checkouts, with the same BLAS and
 thread count, to check that a refactor leaves every fit unchanged; the
-comparison prints the largest absolute difference per method kind and field.
+comparison prints the largest absolute difference per method kind and field,
+then every fit mode whose sweep count or convergence flag differs.
 
 Inputs: arma-mc replicates (T = 2000) and sv-mc replicates (T = 8000) of
 seeds 301 and 302, reps 0 and 1, drawn as perfbench draws them (haar
@@ -65,10 +66,14 @@ def compare(a_path, b_path):
         raise SystemExit(f"the dumps hold different arrays: {sorted(set(a.files) ^ set(b.files))}")
     vector = ("sobi", "gfobi", "gjade", "fobi", "jade")
     worst = {}
+    moved = []
     for key in sorted(a.files):
         fit, field = key.split("|")[:2]
         kind = "vector" if fit.split("/")[-1] in vector else "tensor"
         x, y = a[key], b[key]
+        if field == "diag" and not np.array_equal(x[1:], y[1:]):
+            moved.append(f"{fit} mode {int(key.split('|')[2]) + 1}: sweeps {int(x[1])} -> "
+                         f"{int(y[1])}, converged {bool(x[2])} -> {bool(y[2])}")
         if x.shape != y.shape:
             diff = float("inf")
         elif np.array_equal(x, y, equal_nan=True):
@@ -82,6 +87,9 @@ def compare(a_path, b_path):
     for (kind, field), diff in sorted(worst.items()):
         tag = "bit-identical" if diff == 0.0 else f"max abs diff {diff:.3e}"
         print(f"{kind:6s} {field:14s} {tag}")
+    print(f"{len(moved)} fit modes changed sweep count or convergence")
+    for line in moved:
+        print(f"  {line}")
 
 
 if __name__ == "__main__":
