@@ -15,10 +15,7 @@ from .bss import (  # noqa: F401
     apply_unmixing,
     method_config,
     unmix,
-    unmix_tensor,
-    unmix_vector,
-    whiten_tensor,
-    whiten_vector,
+    whiten,
 )
 from .linalg import (  # noqa: F401
     JointDiagResult,
@@ -30,10 +27,8 @@ from .linalg import (  # noqa: F401
 from .metrics import MdiValue, kron_unmixing, kurtosis_rank, max_abs_correlations, mdi  # noqa: F401
 from .simgen import gen_latent_setting, gen_mixing, mix  # noqa: F401
 from .tensor import (  # noqa: F401
-    center,
     m_flatten,
     m_unflatten,
-    mode_gram,
     mode_product,
     read_series,
     unvectorize,

@@ -114,15 +114,19 @@ def _replicate_rng(seed: int, t_index: int, rep: int) -> np.random.Generator:
     return np.random.default_rng([seed, t_index, rep])
 
 
-def _run_replicate(spec: ExperimentSpec, t_index: int, rep: int) -> dict:
-    """One replicate: simulate, mix, run every method, score by MDI."""
+def _run_replicate(spec: ExperimentSpec, t_index: int, rep: int) -> tuple[dict, list]:
+    """One replicate: simulate, mix, run every method, score by MDI.
+
+    Returns the MDI (or error) per method and the sorted methods whose
+    diagonalizer stopped at the sweep cap on any mode.
+    """
     t = spec.lengths[t_index]
     rng = _replicate_rng(spec.seed, t_index, rep)
     zs = gen_latent_setting(spec.setting, t, rng, dims=spec.dims)
     mats = gen_mixing(spec.dims, spec.mixing, rng)
     xs = mix(zs, mats)
     omega = kron_unmixing(mats)
-    out = {}
+    out, capped = {}, []
     for method in spec.methods:
         try:
             res = unmix(xs, method, lags=spec.lags.get(method))
@@ -130,7 +134,10 @@ def _run_replicate(spec: ExperimentSpec, t_index: int, rep: int) -> dict:
             out[method] = mdi(gamma, omega).value
         except Exception as exc:  # record and keep going; excluded from means
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
-    return out
+            continue
+        if not all(d["converged"] for d in res.diagnostics["joint_diag"]):
+            capped.append(method)
+    return out, sorted(capped)
 
 
 def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
@@ -150,13 +157,14 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
             if progress:
                 progress(len(raw), len(tasks))
     replicate_results = [
-        {"T": spec.lengths[ti], "replicate": rep, "mdi": raw[k]}
+        {"T": spec.lengths[ti], "replicate": rep, "mdi": raw[k][0], "not_converged": raw[k][1]}
         for k, (ti, rep) in enumerate(tasks)
     ]
     aggregates = []
     for ti, t in enumerate(spec.lengths):
         for method in spec.methods:
-            vals = [raw[k][method] for k, (tj, _) in enumerate(tasks) if tj == ti]
+            runs = [raw[k] for k, (tj, _) in enumerate(tasks) if tj == ti]
+            vals = [mdis[method] for mdis, _ in runs]
             ok = np.array([v for v in vals if isinstance(v, float)])
             n_ok = ok.size
             mean = float(ok.mean()) if n_ok else float("nan")
@@ -165,6 +173,7 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
                 "setting": spec.setting, "mixing": spec.mixing, "method": method,
                 "T": t, "mean_mdi": mean, "se_mdi": se, "n_ok": n_ok,
                 "n_failed": len(vals) - n_ok,
+                "n_not_converged": sum(method in capped for _, capped in runs),
             })
     return {
         "spec": _spec_dict(spec),

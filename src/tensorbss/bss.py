@@ -1,15 +1,16 @@
 """Whitening plus joint diagonalization: the ten unmixing estimators.
 
-Vector path: SOBI, gFOBI, gJADE and the lag-{0} special cases FOBI, JADE.
-Tensor path: TSOBI, TgFOBI, TgJADE and TFOBI, TJADE.
+Vector methods: SOBI, gFOBI, gJADE and the lag-{0} special cases FOBI, JADE.
+Tensor methods: TSOBI, TgFOBI, TgJADE and TFOBI, TJADE.
 
-All ten share one per-mode fit; a vector series is the one-mode series
-whose mode functionals (`moments`, with rho = 1) are the vector moments.
-The fit centers, estimates all mode covariances, standardizes from every
-mode simultaneously, builds each mode's matrix set from that standardized
-series (`_LAG_MATRICES`, keyed by family; vector gjade places its lags
-differently from tgjade and has its own entry), diagonalizes each mode,
-and forms Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
+`unmix` is the one entry point; a vector method sees the vectorized
+frames, a (T, p) series, which is the one-mode series whose mode
+functionals (`moments`, with rho = 1) are the vector moments.  The fit
+centers, standardizes every mode simultaneously (`whiten`), builds each
+mode's matrix set from that standardized series (`_LAG_MATRICES`, keyed
+by family; vector gjade places its lags differently from tgjade and has
+its own entry), diagonalizes each mode, and forms
+Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ __all__ = [
     "MethodConfig",
     "UnmixingResult",
     "method_config",
-    "whiten_vector",
-    "whiten_tensor",
-    "unmix_vector",
-    "unmix_tensor",
+    "whiten",
     "unmix",
     "apply_unmixing",
 ]
@@ -108,52 +106,36 @@ _LAG_MATRICES = {
 }
 
 
-def whiten_vector(xs: np.ndarray):
-    """Whiten a centered vector series; returns (whitened, W = Sigma_0^{-1/2})."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError("vector whitening expects a series of shape (T, p)")
-    ys, whiteners = _standardize(xs)
-    return ys, whiteners[0]
+def whiten(xs: np.ndarray):
+    """Standardize a centered series from every mode simultaneously.
 
-
-def whiten_tensor(xs: np.ndarray):
-    """Simultaneously standardize a centered tensor series from all modes.
-
-    All mode covariances are estimated from the input series; the
-    standardization is not re-estimated between modes.
+    Returns (whitened series, [W_m = (Sigma_0^m)^{-1/2}]); all mode
+    covariances are estimated from the input series.  A (T, p) series has
+    one mode.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim < 2:
-        raise ValueError("tensor whitening expects a series of shape (T, p_1, ..., p_r)")
-    return _standardize(xs)
-
-
-def _standardize(xc: np.ndarray):
-    """Whiten every mode of a centered series with covariances taken from the input."""
+        raise ValueError("whitening expects a series of shape (T, p_1, ..., p_r)")
     whiteners = []
-    for m in range(1, xc.ndim):
+    for m in range(1, xs.ndim):
         try:
-            whiteners.append(sym_inv_sqrt(moments.mode_cov(xc, m)))
+            whiteners.append(sym_inv_sqrt(moments.mode_cov(xs, m)))
         except RankDeficiencyError as exc:
             raise RankDeficiencyError(f"mode {m}: {exc}") from exc
-    ys = xc
+    ys = xs
     for m, w in enumerate(whiteners, start=1):
         ys = series_mode_product(ys, w, m)
     return ys, whiteners
 
 
-def _fit(xs: np.ndarray, cfg: MethodConfig, tensor_path: bool) -> UnmixingResult:
+def _fit(xs: np.ndarray, cfg: MethodConfig, lag_matrices) -> UnmixingResult:
     """The one fit: center, standardize, diagonalize each mode, assemble Gamma^m."""
     if xs.shape[0] <= max(cfg.lags):
         raise ValueError("series shorter than the largest lag")
     if not np.isfinite(xs).all():
         raise ValueError("series contains NaN or infinite values")
-    vector_gjade = (cfg.family, tensor_path) == ("gjade", False)
-    lag_matrices = _LAG_MATRICES["vector gjade" if vector_gjade else cfg.family]
     mean = xs.mean(axis=0)
-    xc = xs - mean
-    ys, whiteners = _standardize(xc)
+    ys, whiteners = whiten(xs - mean)
     rotations, gammas, diag_info = [], [], []
     recovered = ys
     for m, w in enumerate(whiteners, start=1):
@@ -176,22 +158,6 @@ def _fit(xs: np.ndarray, cfg: MethodConfig, tensor_path: bool) -> UnmixingResult
     )
 
 
-def unmix_vector(xs: np.ndarray, cfg: MethodConfig) -> UnmixingResult:
-    """Fit a vector method: center, whiten, diagonalize the family's matrix set."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError("vector methods expect a series of shape (T, p)")
-    return _fit(xs, cfg, tensor_path=False)
-
-
-def unmix_tensor(xs: np.ndarray, cfg: MethodConfig) -> UnmixingResult:
-    """Fit a tensor method over all modes (the one-pass tensor pipeline)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim < 2:
-        raise ValueError("tensor methods expect a series of shape (T, p_1, ..., p_r)")
-    return _fit(xs, cfg, tensor_path=True)
-
-
 def unmix(xs: np.ndarray, method: str, lags=None, **kwargs) -> UnmixingResult:
     """Fit one of the ten methods by name.
 
@@ -199,11 +165,12 @@ def unmix(xs: np.ndarray, method: str, lags=None, **kwargs) -> UnmixingResult:
     """
     cfg, tensor_path = method_config(method, lags, **kwargs)
     xs = np.asarray(xs, dtype=float)
-    if tensor_path:
-        return unmix_tensor(xs, cfg)
-    if xs.ndim > 2:
+    if xs.ndim < 2:
+        raise ValueError("expected a series of shape (T, p_1, ..., p_r)")
+    if not tensor_path:
         xs = series_components(xs)
-    return unmix_vector(xs, cfg)
+    vector_gjade = (cfg.family, tensor_path) == ("gjade", False)
+    return _fit(xs, cfg, _LAG_MATRICES["vector gjade" if vector_gjade else cfg.family])
 
 
 def apply_unmixing(xs: np.ndarray, result: UnmixingResult) -> np.ndarray:

@@ -143,6 +143,10 @@ def cmd_bench(args) -> int:
     if failed:
         print(f"warning: {failed} replicate-method runs failed and were "
               f"excluded from the means", file=sys.stderr)
+    capped = sum(row["n_not_converged"] for row in manifest["aggregates"])
+    if capped:
+        print(f"warning: {capped} replicate-method fits stopped at the sweep cap "
+              f"without converging", file=sys.stderr)
     return 0
 
 

@@ -70,8 +70,9 @@ def mode_b_tau(xs: np.ndarray, mode: int, tau: int) -> np.ndarray:
     t, p, rho = f.shape
     _check_lag(tau, t)
     n = t - tau
-    g = _lag_products(f, 0, tau, n).reshape(n, p, p)
-    return np.tensordot(g, g, axes=([0, 2], [0, 2])) / (n * rho)
+    # H_t = X_{t+tau} X_t^T stacked row-wise, so h^T h = sum_t H_t^T H_t
+    h = _lag_products(f, tau, 0, n).reshape(n * p, p)
+    return h.T @ h / (n * rho)
 
 
 def mode_b_lags_grid(xs: np.ndarray, mode: int, taus) -> np.ndarray:

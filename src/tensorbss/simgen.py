@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .tensor import unvectorize
+from .tensor import series_mode_product, unvectorize
 
 __all__ = [
     "ArmaSpec",
@@ -39,9 +39,9 @@ MAX_MIXING_COND = 1e6
 class ArmaSpec:
     """ARMA(p, q) driven by standard normal innovations.
 
-    Empty coefficient vectors give i.i.d. noise.  An entry of
-    ("uniform", q) in place of the MA vector requests q coefficients drawn
-    fresh from U(-1, 1) at generation time.
+    Empty coefficient vectors give i.i.d. noise.  `random_ma_order = q`
+    replaces `theta` with q MA coefficients drawn fresh from U(-1, 1) at
+    generation time.
     """
 
     phi: tuple = ()
@@ -222,7 +222,7 @@ def gen_latent_setting(setting: str, t: int, rng: np.random.Generator,
         raise ValueError(f"dims {dims} hold {int(np.prod(dims))} cells, "
                          f"setting defines {len(specs)} component models")
     comps = np.column_stack([_gen_component(s, t, rng) for s in specs])
-    return np.stack([unvectorize(row, dims) for row in comps])
+    return np.ascontiguousarray(np.moveaxis(unvectorize(comps.T, dims + (t,)), -1, 0))
 
 
 def gen_mixing(dims, kind: str, rng: np.random.Generator) -> list:
@@ -252,8 +252,6 @@ def gen_mixing(dims, kind: str, rng: np.random.Generator) -> list:
 
 def mix(zs: np.ndarray, mats) -> np.ndarray:
     """Apply the chained mode products Z x_1 A_1 ... x_r A_r frame-wise."""
-    from .tensor import series_mode_product
-
     out = np.asarray(zs, dtype=float)
     if len(mats) != out.ndim - 1:
         raise ValueError(f"got {len(mats)} mixing matrices for order-{out.ndim - 1} series")

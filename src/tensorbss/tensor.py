@@ -1,4 +1,4 @@
-"""Dense tensor primitives: flattening, mode products, mode Gram, series I/O.
+"""Dense tensor primitives: flattening, mode products, series I/O.
 
 Conventions used throughout the package:
 
@@ -24,10 +24,8 @@ __all__ = [
     "m_flatten",
     "m_unflatten",
     "mode_product",
-    "mode_gram",
     "vectorize",
     "unvectorize",
-    "center",
     "series_flatten",
     "series_mode_product",
     "series_components",
@@ -80,15 +78,6 @@ def mode_product(x: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(xt, 0, ax)
 
 
-def mode_gram(x: np.ndarray, y: np.ndarray, mode: int) -> np.ndarray:
-    """Sum of outer products of the m-mode vectors of `x` and `y` (p_m x p_m)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return m_flatten(x, mode) @ m_flatten(y, mode).T
-
-
 def vectorize(x: np.ndarray) -> np.ndarray:
     """Linearize a tensor with the first index fastest."""
     return np.asarray(x, dtype=float).reshape(-1, order="F")
@@ -101,12 +90,6 @@ def unvectorize(v: np.ndarray, dims) -> np.ndarray:
     if v.size != int(np.prod(dims)):
         raise ValueError(f"vector of length {v.size} cannot fill dims {dims}")
     return v.reshape(dims, order="F")
-
-
-def center(xs: np.ndarray) -> np.ndarray:
-    """Subtract the temporal mean frame from every frame of a series."""
-    xs = np.asarray(xs, dtype=float)
-    return xs - xs.mean(axis=0)
 
 
 def series_flatten(xs: np.ndarray, mode: int) -> np.ndarray:
@@ -175,6 +158,4 @@ def read_series(path) -> np.ndarray:
         raise ValueError(
             f"series body shape {flat.shape} does not match header dims={dims}, T={t}"
         )
-    xs = flat.reshape((t,) + dims[::-1])
-    rest = tuple(range(xs.ndim - 1, 0, -1))
-    return np.ascontiguousarray(xs.transpose((0,) + rest))
+    return np.ascontiguousarray(np.moveaxis(unvectorize(flat.T, dims + (t,)), -1, 0))

@@ -32,16 +32,6 @@ def naive_vectorize(x):
     return np.array(out)
 
 
-def naive_mode_gram(x, y, mode):
-    fx = naive_m_flatten(x, mode)
-    fy = naive_m_flatten(y, mode)
-    p = fx.shape[0]
-    out = np.zeros((p, p))
-    for col in range(fx.shape[1]):
-        out += np.outer(fx[:, col], fy[:, col])
-    return out
-
-
 def naive_sigma_tau(xs, tau):
     t, p = xs.shape
     n = t - tau

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tensorbss import moments
-from tensorbss.bss import method_config, unmix, unmix_tensor, unmix_vector
+from tensorbss.bss import unmix
 from tensorbss.bench import ExperimentSpec, run_benchmark
 from tensorbss.linalg import joint_diagonalize
 from tensorbss.metrics import kron_unmixing, mdi
@@ -305,10 +305,8 @@ def test_criterion_8_special_case_collapses(report):
                   ("tfobi", "fobi"), ("tjade", "jade"))
     for tname, vname in collapsing:
         # exactness check, so run the rotation search to a tighter angle
-        cfg_t, _ = method_config(tname, tol=1e-14)
-        cfg_v, _ = method_config(vname, tol=1e-14)
-        gt = unmix_tensor(flat, cfg_t).mode_unmixers[0]
-        gv = unmix_vector(flat, cfg_v).mode_unmixers[0]
+        gt = unmix(flat, tname, tol=1e-14).mode_unmixers[0]
+        gv = unmix(flat, vname, tol=1e-14).mode_unmixers[0]
         worst = max(worst, oracles.pj_distance(gt, gv))
     report(8, "lag-{0} methods equal their general-lag limits and order-1 "
               f"tensor paths equal the vector paths (max deviation "

@@ -139,6 +139,17 @@ class TestRunBenchmark:
         rep = manifest["replicates"][0]["mdi"]["tsobi"]
         assert isinstance(rep, dict) and "error" in rep
 
+    def test_sweep_capped_fits_recorded(self):
+        # vector gfobi on Gaussian ARMA is unidentified; this replicate's
+        # diagonalizer runs to the sweep cap, tsobi's converges
+        spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(1000,),
+                              methods=("tsobi", "gfobi"), replicates=1, seed=0)
+        manifest = run_benchmark(spec)
+        assert manifest["replicates"][0]["not_converged"] == ["gfobi"]
+        counts = {row["method"]: (row["n_ok"], row["n_not_converged"])
+                  for row in manifest["aggregates"]}
+        assert counts == {"tsobi": (1, 0), "gfobi": (1, 1)}
+
 
 class TestCliSimulate:
     def test_outputs_and_seed_reproducibility(self, tmp_path, capsys):
@@ -258,6 +269,30 @@ class TestCliRankAndBench:
         assert len(manifest["replicates"]) == 2
         printed = capsys.readouterr().out
         assert SUMMARY_HEADER in printed
+
+    def test_bench_warns_about_sweep_capped_fits(self, tmp_path, capsys, monkeypatch):
+        import tensorbss.bench as bench_mod
+
+        real_unmix = bench_mod.unmix
+
+        def capped_unmix(xs, method, lags=None, **kwargs):
+            res = real_unmix(xs, method, lags=lags, **kwargs)
+            res.diagnostics["joint_diag"][-1]["converged"] = False
+            return res
+
+        monkeypatch.setattr(bench_mod, "unmix", capped_unmix)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(
+            "setting = arma\nmixing = haar\nT = 200\nmethods = tfobi\n"
+            "reps = 2\nseed = 1\n"
+        )
+        out = tmp_path / "res"
+        assert main(["bench", "--spec", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [r["not_converged"] for r in manifest["replicates"]] == [["tfobi"], ["tfobi"]]
+        assert manifest["aggregates"][0]["n_not_converged"] == 2
+        err = capsys.readouterr().err
+        assert "warning: 2 replicate-method fits stopped at the sweep cap" in err
 
     def test_missing_spec_file_is_usage_error(self, tmp_path, capsys):
         assert main(["bench", "--spec", str(tmp_path / "nope.cfg")]) == 1

@@ -8,12 +8,10 @@ from tensorbss.bss import (
     apply_unmixing,
     method_config,
     unmix,
-    unmix_tensor,
-    unmix_vector,
-    whiten_tensor,
-    whiten_vector,
+    whiten,
 )
 from tensorbss import moments
+from tensorbss.linalg import RankDeficiencyError
 from tensorbss.metrics import kron_unmixing, mdi
 from tensorbss.simgen import ArmaSpec, gen_arma, gen_latent_setting, gen_mixing, mix
 from tensorbss.tensor import series_components, series_mode_product
@@ -32,7 +30,7 @@ class TestWhitening:
         rng = np.random.default_rng(0)
         xs = rng.standard_normal((500, 4)) @ rng.standard_normal((4, 4))
         xs -= xs.mean(axis=0)
-        ys, w = whiten_vector(xs)
+        ys, (w,) = whiten(xs)
         np.testing.assert_allclose(moments.mode_autocov(ys, 1, 0, symmetrize=False), np.eye(4),
                                    atol=1e-10)
 
@@ -40,7 +38,7 @@ class TestWhitening:
         rng = np.random.default_rng(1)
         xs = rng.standard_normal((200000, 2)) * np.array([2.0, 3.0])
         xs -= xs.mean(axis=0)
-        _, w = whiten_vector(xs)
+        _, (w,) = whiten(xs)
         np.testing.assert_allclose(w, np.diag([0.5, 1.0 / 3.0]), atol=2e-2)
 
     def test_tensor_mode_covariances_become_identity(self):
@@ -50,7 +48,7 @@ class TestWhitening:
                               start=1):
             xs = series_mode_product(xs, a, m)
         xs -= xs.mean(axis=0)
-        ys, whiteners = whiten_tensor(xs)
+        ys, whiteners = whiten(xs)
         assert len(whiteners) == 3
         # Simultaneous standardization from a finite sample leaves each mode
         # covariance proportional to the identity, not exactly I.
@@ -59,14 +57,16 @@ class TestWhitening:
             off = cov - np.diag(np.diag(cov))
             assert np.max(np.abs(off)) < 0.2 * np.min(np.diag(cov))
 
-    def test_tensor_whitening_matches_vector_at_order_one(self):
-        rng = np.random.default_rng(3)
-        xs = rng.standard_normal((300, 5))
+    def test_rank_deficiency_names_the_mode(self):
+        xs = np.random.default_rng(3).standard_normal((300, 3, 2))
+        xs[:, :, 1] = 2.0 * xs[:, :, 0]
         xs -= xs.mean(axis=0)
-        ys_v, w_v = whiten_vector(xs)
-        ys_t, ws_t = whiten_tensor(xs)
-        np.testing.assert_allclose(ws_t[0], w_v, atol=1e-12)
-        np.testing.assert_allclose(ys_t, ys_v, atol=1e-12)
+        with pytest.raises(RankDeficiencyError, match="^mode 2: "):
+            whiten(xs)
+
+    def test_one_dimensional_series_rejected(self):
+        with pytest.raises(ValueError, match=r"series of shape \(T, p_1"):
+            whiten(np.zeros(10))
 
 
 class TestVectorMethods:
@@ -74,7 +74,7 @@ class TestVectorMethods:
         rng = np.random.default_rng(10)
         zs = ar1_pair(4000, rng)
         omega = rng.standard_normal((2, 2))
-        res = unmix_vector(zs @ omega.T, MethodConfig("sobi", range(1, 13)))
+        res = unmix(zs @ omega.T, "sobi", lags=range(1, 13))
         assert mdi(res.mode_unmixers[0], omega).value < 0.15
 
     def test_gjade_at_lag_zero_separates_kurtosis_mixture(self):
@@ -129,10 +129,8 @@ class TestTensorMethods:
         xs = np.column_stack([xs, gen_arma(ArmaSpec(theta=(0.7,)), 2000, rng)])
         for tname, vname in (("tsobi", "sobi"), ("tgfobi", "gfobi"),
                              ("tfobi", "fobi")):
-            cfg_t, _ = method_config(tname)
-            cfg_v, _ = method_config(vname)
-            gt = unmix_tensor(xs, cfg_t).mode_unmixers[0]
-            gv = unmix_vector(xs, cfg_v).mode_unmixers[0]
+            gt = unmix(xs, tname).mode_unmixers[0]
+            gv = unmix(xs, vname).mode_unmixers[0]
             assert pj_distance(gt, gv) < 1e-10
 
     def test_vector_method_on_tensor_input_vectorizes(self):
@@ -231,12 +229,13 @@ class TestInputValidation:
     def test_series_shorter_than_lag_rejected(self):
         xs = np.random.default_rng(50).standard_normal((10, 2))
         with pytest.raises(ValueError):
-            unmix_vector(xs, MethodConfig("sobi", (12,)))
+            unmix(xs, "sobi", lags=(12,))
 
-    def test_vector_path_rejects_tensor_input(self):
-        xs = np.random.default_rng(51).standard_normal((50, 2, 2))
-        with pytest.raises(ValueError):
-            unmix_vector(xs, MethodConfig("sobi", (1,)))
+    @pytest.mark.parametrize("method", ["sobi", "tsobi"])
+    def test_one_dimensional_series_rejected(self, method):
+        xs = np.random.default_rng(51).standard_normal(50)
+        with pytest.raises(ValueError, match=r"series of shape \(T, p_1"):
+            unmix(xs, method)
 
     @pytest.mark.parametrize("method", ["tsobi", "sobi", "tgjade"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorbss.tensor import (
-    center,
     m_flatten,
     m_unflatten,
-    mode_gram,
     mode_product,
     read_series,
     series_components,
@@ -18,7 +16,7 @@ from tensorbss.tensor import (
     write_series,
 )
 
-from oracles import naive_m_flatten, naive_mode_gram, naive_vectorize
+from oracles import naive_m_flatten, naive_vectorize
 
 rng = np.random.default_rng(20260826)
 
@@ -94,36 +92,6 @@ def test_mode_product_dim_mismatch():
         mode_product(rng.standard_normal((3, 2)), np.eye(3), 2)
 
 
-def test_mode_gram_identity_and_psd():
-    x = rng.standard_normal((3, 2, 2))
-    for mode in (1, 2, 3):
-        g = mode_gram(x, x, mode)
-        assert np.array_equal(g, m_flatten(x, mode) @ m_flatten(x, mode).T)
-        assert np.allclose(g, g.T)
-        assert np.linalg.eigvalsh(g).min() > -1e-12
-
-
-def test_mode_gram_basis_tensor():
-    x = np.zeros((3, 2, 2))
-    x[1, 0, 1] = 1.0
-    g = mode_gram(x, x, 1)
-    expected = np.zeros((3, 3))
-    expected[1, 1] = 1.0
-    assert np.array_equal(g, expected)
-
-
-def test_mode_gram_matches_outer_product_sum():
-    x = rng.standard_normal((3, 2, 2))
-    y = rng.standard_normal((3, 2, 2))
-    for mode in (1, 2, 3):
-        assert np.allclose(mode_gram(x, y, mode), naive_mode_gram(x, y, mode), atol=1e-13)
-
-
-def test_mode_gram_shape_mismatch():
-    with pytest.raises(ValueError):
-        mode_gram(rng.standard_normal((2, 2)), rng.standard_normal((2, 3)), 1)
-
-
 def test_vectorize_layout():
     x = np.array([[1.0, 3.0], [2.0, 4.0]])  # element (2,1) -> position 2
     assert np.array_equal(vectorize(x), [1.0, 2.0, 3.0, 4.0])
@@ -144,14 +112,6 @@ def test_vec_kronecker_identity():
         y = mode_product(y, a, mode)
     big = np.kron(mats[2], np.kron(mats[1], mats[0]))
     assert np.allclose(vectorize(y), big @ vectorize(x), atol=1e-12)
-
-
-def test_center():
-    xs = rng.standard_normal((40, 3, 2))
-    c = center(xs)
-    assert np.abs(c.mean(axis=0)).max() < 1e-13
-    assert np.allclose(center(c), c)
-    assert np.allclose(center(np.ones((5, 2, 2))), 0.0)
 
 
 def test_series_helpers_match_per_frame():

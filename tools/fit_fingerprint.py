@@ -6,7 +6,9 @@
 Dump once with the `src/` of each of two checkouts, with the same BLAS and
 thread count, to check that a refactor leaves every fit unchanged; the
 comparison prints the largest absolute difference per method kind and field,
-then every fit mode whose sweep count or convergence flag differs.
+then every fit mode whose sweep count or convergence flag differs.  `compare`
+exits 0 when every array is bit-identical and 1 when any array differs or any
+sweep count or convergence flag moved.
 
 Inputs: arma-mc replicates (T = 2000) and sv-mc replicates (T = 8000) of
 seeds 301 and 302, reps 0 and 1, drawn as perfbench draws them (haar
@@ -90,10 +92,11 @@ def compare(a_path, b_path):
     print(f"{len(moved)} fit modes changed sweep count or convergence")
     for line in moved:
         print(f"  {line}")
+    return int(bool(moved) or any(diff != 0.0 for diff in worst.values()))
 
 
 if __name__ == "__main__":
     if sys.argv[1] == "dump":
         dump(sys.argv[2], sys.argv[3])
     else:
-        compare(sys.argv[2], sys.argv[3])
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
