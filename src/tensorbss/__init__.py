@@ -21,8 +21,6 @@ from .linalg import (  # noqa: F401
     JointDiagResult,
     RankDeficiencyError,
     joint_diagonalize,
-    sym_eigen,
-    sym_inv_sqrt,
 )
 from .metrics import MdiValue, kron_unmixing, kurtosis_rank, max_abs_correlations, mdi  # noqa: F401
 from .simgen import gen_latent_setting, gen_mixing, mix  # noqa: F401

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .linalg import RankDeficiencyError, joint_diagonalize, sym_inv_sqrt
+from .linalg import RankDeficiencyError, joint_diagonalize
 from .tensor import series_components, series_mode_product
 
 __all__ = [
@@ -109,19 +109,28 @@ _LAG_MATRICES = {
 def whiten(xs: np.ndarray):
     """Standardize a centered series from every mode simultaneously.
 
-    Returns (whitened series, [W_m = (Sigma_0^m)^{-1/2}]); all mode
-    covariances are estimated from the input series.  A (T, p) series has
-    one mode.
+    Returns (whitened series, [W_m = (Sigma_0^m)^{-1/2}]).  Each W_m comes
+    from the input series itself, not from its covariance: with A the
+    (T rho_m, p_m) matrix of all m-mode vectors, R from the QR of A and
+    R = U S V^T, W_m = V diag(sqrt(T rho_m) / s) V^T.  A mode is rank
+    deficient when s_min <= max(T rho_m, p_m) eps s_max, the rule of
+    `numpy.linalg.matrix_rank`.  A (T, p) series has one mode.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim < 2:
         raise ValueError("whitening expects a series of shape (T, p_1, ..., p_r)")
     whiteners = []
     for m in range(1, xs.ndim):
-        try:
-            whiteners.append(sym_inv_sqrt(moments.mode_cov(xs, m)))
-        except RankDeficiencyError as exc:
-            raise RankDeficiencyError(f"mode {m}: {exc}") from exc
+        a = np.moveaxis(xs, m, -1).reshape(-1, xs.shape[m])
+        _, s, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
+        s_min = s[-1] if s.size == a.shape[1] else 0.0  # fewer m-mode vectors than p_m
+        if not s_min > max(a.shape) * np.finfo(float).eps * s[0]:
+            ratio = s_min / s[0] if s[0] > 0 else 0.0
+            raise RankDeficiencyError(
+                f"mode {m}: series is numerically rank deficient: "
+                f"min/max singular value ratio {ratio:.3e}")
+        w = (vt.T * (np.sqrt(a.shape[0]) / s)) @ vt
+        whiteners.append(0.5 * (w + w.T))
     ys = xs
     for m, w in enumerate(whiteners, start=1):
         ys = series_mode_product(ys, w, m)
@@ -174,8 +183,13 @@ def unmix(xs: np.ndarray, method: str, lags=None, **kwargs) -> UnmixingResult:
 
 
 def apply_unmixing(xs: np.ndarray, result: UnmixingResult) -> np.ndarray:
-    """Apply a fitted unmixing to a series of the same frame shape."""
+    """Apply a fitted unmixing to a series of the same frame shape.
+
+    A vector method's fit on tensor input takes the series' vectorized frames.
+    """
     xs = np.asarray(xs, dtype=float)
+    if result.mean.ndim == 1 and xs.ndim > 2 and np.prod(xs.shape[1:]) == result.mean.size:
+        xs = series_components(xs)
     if xs.shape[1:] != result.mean.shape:
         raise ValueError(
             f"frame shape {xs.shape[1:]} does not match fitted shape {result.mean.shape}"

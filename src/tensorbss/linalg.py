@@ -1,4 +1,5 @@
-"""Symmetric eigen-machinery and orthogonal joint approximate diagonalization."""
+"""Orthogonal joint approximate diagonalization, and the error raised for a
+numerically rank-deficient mode (the whitening itself is `bss.whiten`)."""
 
 from __future__ import annotations
 
@@ -6,46 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RankDeficiencyError", "JointDiagResult", "sym_eigen", "sym_inv_sqrt",
-           "joint_diagonalize"]
-
-# relative asymmetry that sym_eigen tolerates, and the smallest min/max
-# eigenvalue ratio that sym_inv_sqrt accepts as full rank
-SYM_RTOL = 1e-10
-EPS_RANK = 1e-12
+__all__ = ["RankDeficiencyError", "JointDiagResult", "joint_diagonalize"]
 
 
 class RankDeficiencyError(ValueError):
-    """Raised when a matrix required to be positive definite is numerically singular."""
-
-
-def sym_eigen(s: np.ndarray):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues descending, orthonormal eigenvectors as columns).
-    """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    scale = max(1.0, np.abs(s).max())
-    if np.abs(s - s.T).max() > SYM_RTOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (s + s.T))
-    return vals[::-1], vecs[:, ::-1]
-
-
-def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
-    """Unique symmetric inverse square root of a symmetric positive definite matrix."""
-    vals, vecs = sym_eigen(s)
-    vmax = vals[0]
-    vmin = vals[-1]
-    if vmax <= 0 or vmin <= EPS_RANK * vmax:
-        ratio = vmin / vmax if vmax > 0 else float("-inf")
-        raise RankDeficiencyError(
-            f"matrix is numerically rank deficient: min/max eigenvalue ratio {ratio:.3e}"
-        )
-    r = (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
-    return 0.5 * (r + r.T)
+    """Raised when a mode of a series is numerically rank deficient, so it cannot be whitened."""
 
 
 @dataclass

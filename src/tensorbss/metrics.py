@@ -48,10 +48,11 @@ def mdi(gamma_hat: np.ndarray, omega: np.ndarray) -> MdiValue:
     p = g.shape[0]
     if g.shape != (p, p) or p < 2:
         raise ValueError("MDI needs square matrices of size >= 2")
-    row_norms = np.einsum("ij,ij->i", g, g)
-    if np.any(row_norms == 0):
+    row_max = np.abs(g).max(axis=1)
+    if np.any(row_max == 0):
         raise ValueError("gain matrix has a zero row; MDI undefined")
-    scores = (g * g) / row_norms[:, None]
+    g = g / row_max[:, None]  # MDI is scale-free; this keeps g * g finite and nonzero
+    scores = (g * g) / np.einsum("ij,ij->i", g, g)[:, None]
     rows, cols = linear_sum_assignment(-scores)
     assignment = np.empty(p, dtype=int)
     assignment[cols] = rows

@@ -21,7 +21,6 @@ import numpy as np
 from .tensor import series_flatten
 
 __all__ = [
-    "mode_cov",
     "mode_autocov",
     "mode_b_tau",
     "mode_b_lags_grid",
@@ -45,11 +44,6 @@ def _grid(w: np.ndarray, base: np.ndarray, rho: int) -> np.ndarray:
     n, pp = w.shape
     p = math.isqrt(pp)
     return (w.T @ base).reshape(p, p, p, p) / (n * rho)
-
-
-def mode_cov(xs: np.ndarray, mode: int) -> np.ndarray:
-    """Mode covariance: mean covariance of all m-mode vectors (with 1/rho_m)."""
-    return mode_autocov(xs, mode, 0, symmetrize=False)
 
 
 def mode_autocov(xs: np.ndarray, mode: int, tau: int, symmetrize: bool = True) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tensorbss.bss import (
+    METHOD_NAMES,
     MethodConfig,
     apply_unmixing,
     method_config,
@@ -11,12 +12,13 @@ from tensorbss.bss import (
     whiten,
 )
 from tensorbss import moments
+from tensorbss.bench import _replicate_rng
 from tensorbss.linalg import RankDeficiencyError
 from tensorbss.metrics import kron_unmixing, mdi
 from tensorbss.simgen import ArmaSpec, gen_arma, gen_latent_setting, gen_mixing, mix
 from tensorbss.tensor import series_components, series_mode_product
 
-from oracles import pj_distance
+from oracles import naive_mode_autocov, pj_distance
 
 
 def ar1_pair(t, rng, phis=(0.9, -0.9)):
@@ -53,9 +55,37 @@ class TestWhitening:
         # Simultaneous standardization from a finite sample leaves each mode
         # covariance proportional to the identity, not exactly I.
         for m in range(1, 4):
-            cov = moments.mode_cov(ys, m)
+            cov = moments.mode_autocov(ys, m, 0, symmetrize=False)
             off = cov - np.diag(np.diag(cov))
             assert np.max(np.abs(off)) < 0.2 * np.min(np.diag(cov))
+
+    def test_whitener_is_symmetric_inverse_root_of_mode_covariance(self):
+        rng = np.random.default_rng(4)
+        vec = rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4))
+        ten = rng.standard_normal((400, 3, 2, 2))
+        for m, p in enumerate((3, 2, 2), start=1):
+            ten = series_mode_product(ten, rng.standard_normal((p, p)), m)
+        for xs in (vec, ten):
+            xs = xs - xs.mean(axis=0)
+            _, whiteners = whiten(xs)
+            assert len(whiteners) == xs.ndim - 1
+            for m, w in enumerate(whiteners, start=1):
+                np.testing.assert_array_equal(w, w.T)
+                sigma = naive_mode_autocov(xs, m, 0)
+                np.testing.assert_allclose(w @ sigma @ w, np.eye(len(w)), atol=1e-10)
+
+    def test_ill_conditioned_gaussian_mixing_fits_every_method(self):
+        # the Kronecker product of these per-mode mixings has condition
+        # number 2.6e6, so the vectorized frames' covariance has an
+        # eigenvalue ratio near 1e-13
+        rng = _replicate_rng(3, 0, 0)
+        zs = gen_latent_setting("sv", 8000, rng)
+        mats = gen_mixing((3, 2, 2), "gaussian", rng)
+        xs = mix(zs, mats)
+        omega = kron_unmixing(mats)
+        for method in METHOD_NAMES:
+            res = unmix(xs, method)
+            assert 0.0 <= mdi(kron_unmixing(res.mode_unmixers), omega).value <= 1.0
 
     def test_rank_deficiency_names_the_mode(self):
         xs = np.random.default_rng(3).standard_normal((300, 3, 2))
@@ -97,6 +127,13 @@ class TestVectorMethods:
             g2 = unmix(zs @ a.T, name).mode_unmixers[0]
             # Gamma(AX) and Gamma(X) A^{-1} agree up to permutation and signs.
             assert mdi(g2, a @ np.linalg.inv(g1)).value < 1e-8
+
+    def test_extreme_scale_gives_scaled_unmixer(self):
+        rng = np.random.default_rng(14)
+        xs = mix(gen_latent_setting("arma", 300, rng), gen_mixing((3, 2, 2), "haar", rng))
+        gamma = unmix(xs, "sobi").mode_unmixers[0]
+        scaled = unmix(1e200 * xs, "sobi").mode_unmixers[0] * 1e200
+        assert np.abs(scaled - gamma).max() <= 1e-10 * np.abs(gamma).max()
 
     def test_scale_invariance_of_recovered_components(self):
         rng = np.random.default_rng(13)
@@ -183,6 +220,12 @@ class TestApplyUnmixing:
         res = unmix(xs, "tsobi")
         np.testing.assert_allclose(apply_unmixing(xs, res), res.recovered,
                                    atol=1e-13)
+
+    def test_vector_fit_on_tensor_input(self):
+        rng = np.random.default_rng(43)
+        xs = mix(gen_latent_setting("arma", 500, rng), gen_mixing((3, 2, 2), "gaussian", rng))
+        res = unmix(xs, "sobi")
+        np.testing.assert_allclose(apply_unmixing(xs, res), res.recovered, atol=1e-13)
 
     def test_round_trip_with_inverse_unmixers(self):
         rng = np.random.default_rng(41)

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from tensorbss.linalg import (
-    RankDeficiencyError,
-    joint_diagonalize,
-    sym_eigen,
-    sym_inv_sqrt,
-)
+from tensorbss.bss import whiten
+from tensorbss.linalg import RankDeficiencyError, joint_diagonalize
 
 from oracles import diag_objective, pj_distance
 
@@ -18,49 +14,13 @@ def random_orthogonal(p, r=rng):
     return q * np.sign(np.diag(rr))
 
 
-class TestSymEigen:
-    def test_identity(self):
-        vals, vecs = sym_eigen(np.eye(4))
-        assert np.allclose(vals, 1.0)
-        assert np.allclose(vecs @ vecs.T, np.eye(4), atol=1e-12)
-
-    def test_diagonal(self):
-        vals, vecs = sym_eigen(np.diag([3.0, 1.0]))
-        assert np.allclose(vals, [3.0, 1.0])
-        assert np.allclose(np.abs(vecs), np.eye(2), atol=1e-14)
-
-    def test_planted_spectrum(self):
-        q = random_orthogonal(6)
-        lam = np.sort(rng.standard_normal(6))[::-1]
-        s = q @ np.diag(lam) @ q.T
-        vals, vecs = sym_eigen(s)
-        assert np.allclose(vals, lam, atol=1e-9)
-        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, s, atol=1e-9 * max(1, np.abs(s).max()))
-
-    def test_rejects_non_symmetric(self):
-        with pytest.raises(ValueError):
-            sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestSymInvSqrt:
-    def test_identity(self):
-        assert np.allclose(sym_inv_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_analytic_diagonal(self):
-        r = sym_inv_sqrt(np.diag([4.0, 9.0]))
-        assert np.allclose(r, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
-
-    def test_random_spd(self):
-        a = rng.standard_normal((5, 5))
-        s = a @ a.T + 5 * np.eye(5)
-        r = sym_inv_sqrt(s)
-        assert np.abs(r - r.T).max() < 1e-10
-        assert np.allclose(r @ s @ r, np.eye(5), atol=1e-8)
-
+class TestRankDeficiencyError:
     def test_rank_deficiency_reports_ratio(self):
-        s = np.diag([1.0, 1e-15])
+        xs = np.random.default_rng(5).standard_normal((200, 2)) * np.array([1.0, 1e-15])
         with pytest.raises(RankDeficiencyError, match="ratio"):
-            sym_inv_sqrt(s)
+            whiten(xs - xs.mean(axis=0))
+        with pytest.raises(RankDeficiencyError, match="ratio 0.000e"):
+            whiten(np.random.default_rng(6).standard_normal((3, 5)))  # fewer rows than p
 
 
 class TestJointDiagonalize:
@@ -82,7 +42,7 @@ class TestJointDiagonalize:
         q = random_orthogonal(4)
         s = q @ np.diag([4.0, 3.0, 2.0, 1.0]) @ q.T
         res = joint_diagonalize([s])
-        _, vecs = sym_eigen(s)
+        _, vecs = np.linalg.eigh(s)
         assert pj_distance(res.rotation.T, vecs.T) < 1e-9
 
     def test_objective_no_worse_than_identity(self):

@@ -56,6 +56,16 @@ class TestMdi:
         np.testing.assert_array_equal(res.assignment, [2, 1, 0])
         np.testing.assert_allclose(res.row_scores, 1.0, atol=1e-15)
 
+    def test_extreme_scales(self):
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((4, 4))
+        want = mdi(g, np.eye(4)).value
+        for c in (1e-200, 1e-160, 1e160, 1e200):
+            assert abs(mdi(c * g, np.eye(4)).value - want) <= 1e-12
+        g[2] = 0.0
+        with pytest.raises(ValueError, match="zero row"):
+            mdi(1e-200 * g, np.eye(4))
+
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
             mdi(np.ones((1, 1)), np.ones((1, 1)))

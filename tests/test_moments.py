@@ -136,7 +136,7 @@ class TestModeCov:
         x = np.zeros((3, 2, 2))
         x[0, 0, 0] = 1.0
         xs = np.repeat(x[None], 5, axis=0)
-        g = moments.mode_cov(xs, 1)
+        g = moments.mode_autocov(xs, 1, 0, symmetrize=False)
         expected = np.zeros((3, 3))
         expected[0, 0] = 0.25  # single unit fiber, rho_1 = 4
         assert np.allclose(g, expected, atol=1e-14)
@@ -144,22 +144,17 @@ class TestModeCov:
     def test_iid_normal_is_identity(self):
         xs = np.random.default_rng(3).standard_normal((100000, 3, 2, 2))
         for mode in (1, 2, 3):
-            assert np.allclose(moments.mode_cov(xs, mode), np.eye(xs.shape[mode]),
-                               atol=0.02)
+            assert np.allclose(moments.mode_autocov(xs, mode, 0, symmetrize=False),
+                               np.eye(xs.shape[mode]), atol=0.02)
 
     def test_matches_oracle(self):
         xs = rng.standard_normal((20, 3, 2, 2))
         for mode in (1, 2, 3):
-            assert np.allclose(moments.mode_cov(xs, mode),
+            assert np.allclose(moments.mode_autocov(xs, mode, 0, symmetrize=False),
                                oracles.naive_mode_autocov(xs, mode, 0), atol=1e-12)
 
 
 class TestModeAutocov:
-    def test_tau0_reduces_to_mode_cov(self):
-        xs = rng.standard_normal((30, 3, 2))
-        assert np.allclose(moments.mode_autocov(xs, 1, 0, symmetrize=False),
-                           moments.mode_cov(xs, 1), atol=1e-14)
-
     def test_ar1_fibers_diagonal_dominance(self):
         from tensorbss.tensor import unvectorize
 
@@ -253,7 +248,7 @@ class TestModeCTauIJ:
         g1 = moments.mode_b_lags_grid(xs, 1, (0, 1, 1, 0))
         g2 = moments.mode_b_lags_grid(xs, 1, (0, 1, 0, 1))
         g3 = moments.mode_b_lags_grid(xs, 1, (1, 1, 0, 0))
-        s0 = moments.mode_cov(xs, 1)
+        s0 = moments.mode_autocov(xs, 1, 0, symmetrize=False)
         grid = moments.mode_c_grid(xs, 1, 1)
         for (i, j) in ((1, 1), (2, 3)):
             e = np.zeros((3, 3))
