@@ -42,8 +42,13 @@ def joint_diagonalize(ms, tol: float = 1e-12, max_sweeps: int = 100) -> JointDia
         raise ValueError("expected a set of square matrices of equal size")
     if a.shape[0] < 1:
         raise ValueError("need at least one matrix")
-    a = 0.5 * (a + a.transpose(0, 2, 1))
     p = a.shape[1]
+    # symmetrized into a (p, p, K) layout, so that a rotated row or column is
+    # p runs of K contiguous values
+    a = np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0), out=np.empty((p, p, len(a))))
+    a *= 0.5
+    t1 = np.empty(a.shape[1:])
+    t2 = np.empty(a.shape[1:])
     u = np.eye(p)
     trace = [_diag_mass(a)]
     sweeps = 0
@@ -55,8 +60,8 @@ def joint_diagonalize(ms, tol: float = 1e-12, max_sweeps: int = 100) -> JointDia
         max_angle = 0.0
         for i in range(p - 1):
             for j in range(i + 1, p):
-                d = a[:, i, i] - a[:, j, j]
-                o = a[:, i, j] + a[:, j, i]
+                d = a[i, i] - a[j, j]
+                o = a[i, j] + a[j, i]
                 ton = d @ d - o @ o
                 toff = 2.0 * (d @ o)
                 theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
@@ -65,12 +70,15 @@ def joint_diagonalize(ms, tol: float = 1e-12, max_sweeps: int = 100) -> JointDia
                     continue
                 c = np.cos(theta)
                 s = np.sin(theta)
-                ai = a[:, :, i].copy()
-                a[:, :, i] = c * ai + s * a[:, :, j]
-                a[:, :, j] = c * a[:, :, j] - s * ai
-                ri = a[:, i, :].copy()
-                a[:, i, :] = c * ri + s * a[:, j, :]
-                a[:, j, :] = c * a[:, j, :] - s * ri
+                # columns i, j, then rows i, j, in place: x_i <- c x_i + s x_j, x_j <- c x_j - s x_i
+                for xi, xj in ((a[:, i], a[:, j]), (a[i], a[j])):
+                    np.copyto(t1, xi)
+                    np.multiply(xj, s, out=t2)
+                    xi *= c
+                    xi += t2
+                    t1 *= s
+                    xj *= c
+                    xj -= t1
                 ui = u[:, i].copy()
                 u[:, i] = c * ui + s * u[:, j]
                 u[:, j] = c * u[:, j] - s * ui
@@ -95,5 +103,7 @@ def joint_diagonalize(ms, tol: float = 1e-12, max_sweeps: int = 100) -> JointDia
 
 
 def _diag_mass(a: np.ndarray) -> float:
-    d = np.diagonal(a, axis1=1, axis2=2)
+    # the (K, p) diagonals of a (p, p, K) set, in C order, so the sum runs in
+    # the order of the matrices and then of the diagonal
+    d = np.ascontiguousarray(np.diagonal(a, axis1=0, axis2=1))
     return float(np.sum(d * d))

@@ -155,6 +155,11 @@ class TestModeCov:
 
 
 class TestModeAutocov:
+    def test_tau0_reduces_to_mode_cov(self):
+        xs = rng.standard_normal((30, 3, 2))
+        cov = np.einsum("tij,tkj->ik", xs, xs) / (30 * 2)  # sum_t X_t X_t^T / (T rho_1)
+        assert np.allclose(moments.mode_autocov(xs, 1, 0, symmetrize=False), cov, atol=1e-14)
+
     def test_ar1_fibers_diagonal_dominance(self):
         from tensorbss.tensor import unvectorize
 
