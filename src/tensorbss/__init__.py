@@ -10,10 +10,9 @@ __version__ = "0.1.0"
 
 from .bss import (  # noqa: F401
     METHOD_NAMES,
-    MethodConfig,
     UnmixingResult,
     apply_unmixing,
-    method_config,
+    method_lags,
     unmix,
     whiten,
 )

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import __version__
-from .bss import METHOD_NAMES, method_config, unmix
+from .bss import method_lags, unmix
 from .metrics import kron_unmixing, mdi
 from .simgen import SETTINGS, gen_latent_setting, gen_mixing, mix
 
@@ -51,24 +51,26 @@ class ExperimentSpec:
                              f"setting {self.setting!r} defines {models} component models")
         max_lag = 0
         for m in self.methods:
-            if m not in METHOD_NAMES:
-                raise ValueError(f"unknown method {m!r}")
+            method_lags(m)  # an unknown name is not an error of lags.<name>
             try:
-                cfg, _ = method_config(m, self.lags.get(m))
+                max_lag = max(max_lag, method_lags(m, self.lags.get(m))[-1])
             except ValueError as exc:
                 raise ValueError(f"lags.{m}: {exc}") from exc
-            max_lag = max(max_lag, max(cfg.lags))
         bad = [t for t in self.lengths if t < 2 * (max_lag + 1)]
         if bad:
             raise ValueError(f"series lengths {bad} too short for max lag {max_lag}")
 
 
 def _parse_lags(text: str) -> tuple:
-    text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    """Read a lag set written as a range 'a:b' (a to b inclusive) or a list 'a,b,c'."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ValueError(f"malformed lag set {text!r}: expected 'a:b' or 'a,b,c' "
+                         f"with integer a, b, c") from None
 
 
 def parse_experiment_spec(path) -> ExperimentSpec:
@@ -88,6 +90,12 @@ def parse_experiment_spec(path) -> ExperimentSpec:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             kv[key] = val
+    lags = {}
+    for key in [k for k in kv if k.startswith("lags.")]:
+        try:
+            lags[key.removeprefix("lags.")] = _parse_lags(kv.pop(key))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
     try:
         spec = ExperimentSpec(
             setting=kv.pop("setting"),
@@ -95,17 +103,15 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             dims=tuple(int(v) for v in kv.pop("dims", "3,2,2").split(",")),
             lengths=tuple(int(v) for v in kv.pop("T").split(",")),
             methods=tuple(m.strip() for m in kv.pop("methods").split(",")),
-            lags={k.removeprefix("lags."): _parse_lags(v)
-                  for k, v in list(kv.items()) if k.startswith("lags.")},
+            lags=lags,
             replicates=int(kv.pop("reps", "1")),
             seed=int(kv.pop("seed", "0")),
             out=kv.pop("out", "bench_out"),
         )
     except KeyError as exc:
         raise ValueError(f"missing required config key {exc.args[0]!r}") from exc
-    leftovers = [k for k in kv if not k.startswith("lags.")]
-    if leftovers:
-        raise ValueError(f"unknown config keys: {leftovers}")
+    if kv:
+        raise ValueError(f"unknown config keys: {list(kv)}")
     return spec
 
 

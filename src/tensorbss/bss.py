@@ -7,10 +7,9 @@ Tensor methods: TSOBI, TgFOBI, TgJADE and TFOBI, TJADE.
 frames, a (T, p) series, which is the one-mode series whose mode
 functionals (`moments`, with rho = 1) are the vector moments.  The fit
 centers, standardizes every mode simultaneously (`whiten`), builds each
-mode's matrix set from that standardized series (`_LAG_MATRICES`, keyed
-by family; vector gjade places its lags differently from tgjade and has
-its own entry), diagonalizes each mode, and forms
-Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
+mode's matrix set from that standardized series with the method's entry
+in `METHOD_NAMES` (vector gjade places its lags differently from tgjade),
+diagonalizes each mode, and forms Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from .tensor import series_components, series_mode_product
 
 __all__ = [
     "METHOD_NAMES",
-    "MethodConfig",
     "UnmixingResult",
-    "method_config",
+    "method_lags",
     "whiten",
     "unmix",
     "apply_unmixing",
@@ -36,51 +34,54 @@ __all__ = [
 DEFAULT_SOBI_LAGS = tuple(range(1, 13))
 DEFAULT_G_LAGS = tuple(range(0, 13))
 
-# method name -> (family, tensor path?, default lags)
+# The matrix, or (p, p, p, p) grid of matrices, that lag tau contributes on
+# mode m of the standardized series; the lambdas look the functions up at
+# call time, so a wrapper set on `moments` sees every call.
+_SOBI = lambda ys, m, tau: moments.mode_autocov(ys, m, tau, symmetrize=True)  # noqa: E731
+_GFOBI = lambda ys, m, tau: moments.mode_b_tau(ys, m, tau)  # noqa: E731
+_GJADE = lambda ys, m, tau: moments.mode_c_grid(ys, m, tau)  # noqa: E731
+_VECTOR_GJADE = lambda ys, m, tau: moments.c_tau_grid(ys, tau)  # noqa: E731
+
+# method name -> (lag matrices, tensor path?, default lags)
 METHOD_NAMES = {
-    "sobi": ("sobi", False, DEFAULT_SOBI_LAGS),
-    "gfobi": ("gfobi", False, DEFAULT_G_LAGS),
-    "gjade": ("gjade", False, DEFAULT_G_LAGS),
-    "fobi": ("gfobi", False, (0,)),
-    "jade": ("gjade", False, (0,)),
-    "tsobi": ("sobi", True, DEFAULT_SOBI_LAGS),
-    "tgfobi": ("gfobi", True, DEFAULT_G_LAGS),
-    "tgjade": ("gjade", True, DEFAULT_G_LAGS),
-    "tfobi": ("gfobi", True, (0,)),
-    "tjade": ("gjade", True, (0,)),
+    "sobi": (_SOBI, False, DEFAULT_SOBI_LAGS),
+    "gfobi": (_GFOBI, False, DEFAULT_G_LAGS),
+    "gjade": (_VECTOR_GJADE, False, DEFAULT_G_LAGS),
+    "fobi": (_GFOBI, False, (0,)),
+    "jade": (_VECTOR_GJADE, False, (0,)),
+    "tsobi": (_SOBI, True, DEFAULT_SOBI_LAGS),
+    "tgfobi": (_GFOBI, True, DEFAULT_G_LAGS),
+    "tgjade": (_GJADE, True, DEFAULT_G_LAGS),
+    "tfobi": (_GFOBI, True, (0,)),
+    "tjade": (_GJADE, True, (0,)),
 }
 
 
-@dataclass
-class MethodConfig:
-    """Which moment family to diagonalize and over which lags."""
+def method_lags(name: str, lags=None) -> tuple:
+    """The sorted lag set that method `name` fits with: its default, or `lags`.
 
-    family: str  # sobi | gfobi | gjade
-    lags: tuple
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.family not in ("sobi", "gfobi", "gjade"):
-            raise ValueError(f"unknown method family {self.family!r}")
-        lags = tuple(sorted(set(int(v) for v in self.lags)))
-        if not lags or any(v < 0 for v in lags):
-            raise ValueError("lag set must be a non-empty set of non-negative integers")
-        if self.family == "sobi" and 0 in lags:
-            raise ValueError("the sobi family uses lags >= 1")
-        self.lags = lags
-
-
-def method_config(name: str, lags=None, **kwargs) -> tuple[MethodConfig, bool]:
-    """Resolve one of the ten method names to (config, uses tensor path)."""
-    key = name.lower()
-    if key not in METHOD_NAMES:
+    Lags are non-negative integers (numpy integers too).  A method whose
+    default set is {0} takes only {0}; one whose default has no 0 takes no 0.
+    """
+    if name not in METHOD_NAMES:
         raise ValueError(f"unknown method {name!r}; expected one of {sorted(METHOD_NAMES)}")
-    family, tensor_path, default_lags = METHOD_NAMES[key]
+    default = METHOD_NAMES[name][2]
     if lags is None:
-        lags = default_lags
-    elif key in ("fobi", "jade", "tfobi", "tjade") and tuple(lags) != (0,):
+        return default
+    if isinstance(lags, (str, bytes)) or not np.iterable(lags):
+        raise ValueError(f"lag set must be a collection of integers, got {lags!r}")
+    lags = tuple(lags)
+    bad = [v for v in lags if not isinstance(v, (int, np.integer))]
+    if bad:
+        raise ValueError(f"lags must be integers, got {bad[0]!r}")
+    lags = tuple(sorted({int(v) for v in lags}))
+    if not lags or lags[0] < 0:
+        raise ValueError("lag set must be a non-empty set of non-negative integers")
+    if default == (0,) and lags != (0,):
         raise ValueError(f"{name} is defined by the lag set {{0}}")
-    return MethodConfig(family=family, lags=tuple(lags), **kwargs), tensor_path
+    if default[0] > 0 and lags[0] == 0:
+        raise ValueError(f"{name} uses lags >= 1")
+    return lags
 
 
 @dataclass
@@ -93,17 +94,6 @@ class UnmixingResult:
     mean: np.ndarray  # training temporal mean frame
     recovered: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-
-# family -> the matrix, or (p, p, p, p) grid of matrices, that lag tau
-# contributes on mode m of the standardized series; the lambdas look the
-# functions up at call time, so a wrapper set on `moments` sees every call
-_LAG_MATRICES = {
-    "sobi": lambda ys, m, tau: moments.mode_autocov(ys, m, tau, symmetrize=True),
-    "gfobi": lambda ys, m, tau: moments.mode_b_tau(ys, m, tau),
-    "gjade": lambda ys, m, tau: moments.mode_c_grid(ys, m, tau),
-    "vector gjade": lambda ys, m, tau: moments.c_tau_grid(ys, tau),
-}
 
 
 def whiten(xs: np.ndarray):
@@ -137,9 +127,21 @@ def whiten(xs: np.ndarray):
     return ys, whiteners
 
 
-def _fit(xs: np.ndarray, cfg: MethodConfig, lag_matrices) -> UnmixingResult:
-    """The one fit: center, standardize, diagonalize each mode, assemble Gamma^m."""
-    if xs.shape[0] <= max(cfg.lags):
+def unmix(xs: np.ndarray, method: str, lags=None, tol: float = 1e-12) -> UnmixingResult:
+    """Fit one of the ten methods by name over its lag set (`method_lags`).
+
+    Centers, standardizes every mode (`whiten`), jointly diagonalizes each
+    mode's lag matrices to tolerance `tol` and assembles Gamma^m = U_m^T W_m.
+    Vector methods applied to tensor input operate on the vectorized frames.
+    """
+    lags = method_lags(method, lags)
+    lag_matrices, tensor_path, _ = METHOD_NAMES[method]
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim < 2:
+        raise ValueError("expected a series of shape (T, p_1, ..., p_r)")
+    if not tensor_path:
+        xs = series_components(xs)
+    if xs.shape[0] <= lags[-1]:
         raise ValueError("series shorter than the largest lag")
     if not np.isfinite(xs).all():
         raise ValueError("series contains NaN or infinite values")
@@ -150,8 +152,8 @@ def _fit(xs: np.ndarray, cfg: MethodConfig, lag_matrices) -> UnmixingResult:
     for m, w in enumerate(whiteners, start=1):
         p = ys.shape[m]
         # a grid's matrices go in (i, j) order, j fastest
-        mats = [a for tau in cfg.lags for a in np.reshape(lag_matrices(ys, m, tau), (-1, p, p))]
-        res = joint_diagonalize(mats, tol=cfg.tol)
+        mats = [a for tau in lags for a in np.reshape(lag_matrices(ys, m, tau), (-1, p, p))]
+        res = joint_diagonalize(mats, tol=tol)
         rotations.append(res.rotation)
         gammas.append(res.rotation.T @ w)
         diag_info.append({"objective": res.objective, "sweeps_used": res.sweeps_used,
@@ -165,21 +167,6 @@ def _fit(xs: np.ndarray, cfg: MethodConfig, lag_matrices) -> UnmixingResult:
         recovered=recovered,
         diagnostics={"joint_diag": diag_info},
     )
-
-
-def unmix(xs: np.ndarray, method: str, lags=None, **kwargs) -> UnmixingResult:
-    """Fit one of the ten methods by name.
-
-    Vector methods applied to tensor input operate on the vectorized frames.
-    """
-    cfg, tensor_path = method_config(method, lags, **kwargs)
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim < 2:
-        raise ValueError("expected a series of shape (T, p_1, ..., p_r)")
-    if not tensor_path:
-        xs = series_components(xs)
-    vector_gjade = (cfg.family, tensor_path) == ("gjade", False)
-    return _fit(xs, cfg, _LAG_MATRICES["vector gjade" if vector_gjade else cfg.family])
 
 
 def apply_unmixing(xs: np.ndarray, result: UnmixingResult) -> np.ndarray:

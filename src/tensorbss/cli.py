@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .bench import _parse_lags, parse_experiment_spec, run_benchmark, summary_csv, write_manifest
-from .bss import METHOD_NAMES, RankDeficiencyError, unmix
+from .bss import METHOD_NAMES, RankDeficiencyError, method_lags, unmix
 from .metrics import kron_unmixing, kurtosis_rank, max_abs_correlations, mdi
 from .simgen import gen_latent_setting, gen_mixing, mix
 from .tensor import read_series, series_components, write_series
@@ -81,14 +81,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_unmix(args) -> int:
-    xs = read_series(args.input)
-    lags = _parse_lags(args.lags) if args.lags else None
-    res = unmix(xs, args.method, lags=lags)
+    lags = method_lags(args.method, None if args.lags is None else _parse_lags(args.lags))
+    res = unmix(read_series(args.input), args.method, lags=lags)
     os.makedirs(args.out, exist_ok=True)
     write_series(os.path.join(args.out, "recovered.ts"), res.recovered)
     write_matrices(os.path.join(args.out, "unmixers.txt"), res.mode_unmixers)
     with open(os.path.join(args.out, "diagnostics.json"), "w") as fh:
-        json.dump({"method": args.method, "lags": lags,
+        json.dump({"method": args.method, "lags": list(lags),
                    "diagnostics": res.diagnostics}, fh, indent=1)
         fh.write("\n")
     for m, info in enumerate(res.diagnostics["joint_diag"], start=1):

@@ -80,6 +80,15 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="bogus"):
             parse_experiment_spec(write_spec(tmp_path, SPEC_TEXT + "lags.bogus = 1:3\n"))
 
+    @pytest.mark.parametrize("text", ["1:4:2", "a", "1:"])
+    def test_malformed_lag_text_rejected(self, tmp_path, capsys, text):
+        spec = SPEC_TEXT.replace("lags.tsobi = 1:4", f"lags.tsobi = {text}")
+        with pytest.raises(ValueError, match=f"^lags.tsobi: malformed lag set '{text}': "
+                                             "expected 'a:b' or 'a,b,c'"):
+            parse_experiment_spec(write_spec(tmp_path, spec))
+        assert main(["bench", "--spec", str(tmp_path / "bench.cfg")]) == 1
+        assert "lags.tsobi: malformed lag set" in capsys.readouterr().err
+
 
 class TestRunBenchmark:
     def test_manifest_determinism_and_shape(self, tmp_path):
@@ -198,6 +207,26 @@ class TestCliUnmix:
         for a, b in zip(read_matrices(f1 / "unmixers.txt"),
                         read_matrices(f2 / "unmixers.txt")):
             assert pj_distance(a, b) < 1e-10
+
+    @pytest.mark.parametrize("argv,want", [([], list(range(1, 13))),
+                                           (["--lags", "3,1,1"], [1, 3])])
+    def test_diagnostics_record_the_lags_used(self, tmp_path, capsys, argv, want):
+        path = tmp_path / "x.ts"
+        write_series(path, np.random.default_rng(8).standard_normal((200, 3, 2)))
+        fit = tmp_path / "fit"
+        assert main(["unmix", "--in", str(path), "--method", "tsobi",
+                     "--out", str(fit)] + argv) == 0
+        assert json.loads((fit / "diagnostics.json").read_text())["lags"] == want
+
+    @pytest.mark.parametrize("text", ["1:4:2", "a", "1:", ""])
+    def test_malformed_lags_are_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "x.ts"
+        write_series(path, np.random.default_rng(9).standard_normal((200, 3, 2)))
+        assert main(["unmix", "--in", str(path), "--method", "tsobi", "--lags", text,
+                     "--out", str(tmp_path / "o")]) == 1
+        want = (f"malformed lag set '{text}': expected 'a:b' or 'a,b,c'" if text
+                else "lag set must be a non-empty set")
+        assert want in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # Constant series: rank-deficient covariance -> exit code 2.

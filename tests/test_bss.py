@@ -5,14 +5,14 @@ import pytest
 
 from tensorbss.bss import (
     METHOD_NAMES,
-    MethodConfig,
     apply_unmixing,
-    method_config,
+    method_lags,
     unmix,
     whiten,
 )
 from tensorbss import moments
-from tensorbss.bench import _replicate_rng
+from tensorbss.bench import ExperimentSpec, _replicate_rng
+from tensorbss.cli import main
 from tensorbss.linalg import RankDeficiencyError
 from tensorbss.metrics import kron_unmixing, mdi
 from tensorbss.simgen import ArmaSpec, gen_arma, gen_latent_setting, gen_mixing, mix
@@ -201,15 +201,52 @@ class TestSpecialCases:
     def test_fixed_lag_methods_reject_other_lag_sets(self):
         for name in ("fobi", "jade", "tfobi", "tjade"):
             with pytest.raises(ValueError):
-                method_config(name, lags=(0, 1))
+                method_lags(name, lags=(0, 1))
 
     def test_sobi_rejects_lag_zero(self):
         with pytest.raises(ValueError):
-            MethodConfig("sobi", (0, 1, 2))
+            method_lags("sobi", (0, 1, 2))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            method_config("amuse")
+            method_lags("amuse")
+
+
+class TestMethodTable:
+    def test_table_shape(self):
+        assert len(METHOD_NAMES) == 10
+        for name, entry in METHOD_NAMES.items():
+            lag_matrices, tensor_path, default = entry
+            assert callable(lag_matrices) and type(tensor_path) is bool
+            assert type(default) is tuple
+            assert method_lags(name, default) == default == method_lags(name)
+        assert sum(tensor_path for _, tensor_path, _ in METHOD_NAMES.values()) == 5
+
+    def test_mixed_case_name_rejected_everywhere(self, tmp_path, capsys):
+        xs = np.random.default_rng(53).standard_normal((300, 3, 2, 2))
+        with pytest.raises(ValueError, match="unknown method 'TSOBI'"):
+            unmix(xs, "TSOBI")
+        with pytest.raises(ValueError, match="unknown method 'TSOBI'"):
+            ExperimentSpec(setting="arma", mixing="haar", methods=("TSOBI",))
+        with pytest.raises(SystemExit) as exc:
+            main(["unmix", "--in", str(tmp_path / "x.ts"), "--method", "TSOBI",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 1
+
+    def test_lags_resolved_sorted_and_deduplicated(self):
+        assert method_lags("tsobi", (3, 1, 1)) == (1, 3)
+        assert method_lags("tgjade", range(0, 3)) == (0, 1, 2)
+        assert method_lags("sobi", np.array([2, 1])) == (1, 2)
+        assert method_lags("tfobi", [np.int64(0)]) == (0,)
+        assert all(type(v) is int for v in method_lags("sobi", np.array([2, 1])))
+
+    @pytest.mark.parametrize("lags,bad", [((1.5, 2.9), "1.5"), ("12", "'12'"), (5, "5"),
+                                          (np.array([1.0, 2.0]), "1.0")])
+    def test_non_integer_lags_rejected(self, lags, bad):
+        with pytest.raises(ValueError, match=f"integers, got .*{bad}"):
+            method_lags("tsobi", lags)
+        with pytest.raises(ValueError, match="integers"):
+            unmix(np.random.default_rng(54).standard_normal((100, 2, 2)), "tsobi", lags=lags)
 
 
 class TestApplyUnmixing:
