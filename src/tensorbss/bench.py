@@ -41,6 +41,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown mixing {self.mixing!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"method {repeated[0]!r} is listed more than once")
         unlisted = sorted(set(self.lags) - set(self.methods))
         if unlisted:
             raise ValueError(f"lag overrides for methods not in the method list: {unlisted}")
@@ -56,6 +59,7 @@ class ExperimentSpec:
                 max_lag = max(max_lag, method_lags(m, self.lags.get(m))[-1])
             except ValueError as exc:
                 raise ValueError(f"lags.{m}: {exc}") from exc
+        self.lags = {m: tuple(v) for m, v in self.lags.items()}  # as manifest.json lists them
         bad = [t for t in self.lengths if t < 2 * (max_lag + 1)]
         if bad:
             raise ValueError(f"series lengths {bad} too short for max lag {max_lag}")
@@ -182,7 +186,7 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
                 "n_not_converged": sum(method in capped for _, capped in runs),
             })
     return {
-        "spec": _spec_dict(spec),
+        "spec": asdict(spec),
         "seed": spec.seed,
         "library_version": __version__,
         "wall_clock_seconds": time.time() - start,
@@ -206,9 +210,3 @@ def write_manifest(manifest: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
-
-
-def _spec_dict(spec: ExperimentSpec) -> dict:
-    d = asdict(spec)
-    d["lags"] = {k: list(v) for k, v in spec.lags.items()}
-    return d

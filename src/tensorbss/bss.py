@@ -37,7 +37,7 @@ DEFAULT_G_LAGS = tuple(range(0, 13))
 # The matrix, or (p, p, p, p) grid of matrices, that lag tau contributes on
 # mode m of the standardized series; the lambdas look the functions up at
 # call time, so a wrapper set on `moments` sees every call.
-_SOBI = lambda ys, m, tau: moments.mode_autocov(ys, m, tau, symmetrize=True)  # noqa: E731
+_SOBI = lambda ys, m, tau: moments.mode_autocov(ys, m, tau)  # noqa: E731
 _GFOBI = lambda ys, m, tau: moments.mode_b_tau(ys, m, tau)  # noqa: E731
 _GJADE = lambda ys, m, tau: moments.mode_c_grid(ys, m, tau)  # noqa: E731
 _VECTOR_GJADE = lambda ys, m, tau: moments.c_tau_grid(ys, tau)  # noqa: E731
@@ -151,8 +151,8 @@ def unmix(xs: np.ndarray, method: str, lags=None, tol: float = 1e-12) -> Unmixin
     recovered = ys
     for m, w in enumerate(whiteners, start=1):
         p = ys.shape[m]
-        # a grid's matrices go in (i, j) order, j fastest
-        mats = [a for tau in lags for a in np.reshape(lag_matrices(ys, m, tau), (-1, p, p))]
+        # one (K, p, p) set; a grid's matrices go in (i, j) order, j fastest
+        mats = np.concatenate([np.reshape(lag_matrices(ys, m, tau), (-1, p, p)) for tau in lags])
         res = joint_diagonalize(mats, tol=tol)
         rotations.append(res.rotation)
         gammas.append(res.rotation.T @ w)

@@ -43,9 +43,11 @@ def write_matrices(path, mats) -> None:
 def read_matrices(path) -> list:
     with open(path) as fh:
         header = fh.readline().strip()
-        if not header.startswith("matrices="):
-            raise ValueError(f"malformed matrix file header: {header!r}")
-        count = int(header.removeprefix("matrices="))
+        count = header.removeprefix("matrices=")
+        if count == header or not count.isdecimal() or int(count) < 1:
+            raise ValueError(f"{path}: malformed matrix file header {header!r}, "
+                             f"expected 'matrices=<positive integer>'")
+        count = int(count)
         mats = []
         for k in range(1, count + 1):
             line = fh.readline()

@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RankDeficiencyError", "JointDiagResult", "joint_diagonalize"]
+__all__ = ["RankDeficiencyError", "JointDiagResult", "MAX_SWEEPS", "joint_diagonalize"]
+
+MAX_SWEEPS = 100  # Jacobi sweeps before a fit is reported as not converged
 
 
 class RankDeficiencyError(ValueError):
@@ -25,19 +27,19 @@ class JointDiagResult:
     objective_trace: list = field(default_factory=list)
 
 
-def joint_diagonalize(ms, tol: float = 1e-12, max_sweeps: int = 100) -> JointDiagResult:
+def joint_diagonalize(ms, tol: float = 1e-12) -> JointDiagResult:
     """Find an orthogonal U maximizing the summed squared diagonals of U^T M U.
 
     Cyclic Jacobi over index pairs; each Givens angle solves the 2x2
-    sub-problem in closed form over the symmetrized parts of the input
-    matrices.  Non-symmetric inputs are symmetrized up front, which leaves
-    the optimal rotation unchanged for the moment matrices used here.
+    sub-problem in closed form over the symmetric parts (M + M^T) / 2 of the
+    input matrices, which is all the objective sees; the input set need not
+    be symmetric.  At most `MAX_SWEEPS` sweeps run.
 
     The columns of the returned rotation are ordered by descending diagonal
     of U^T M_1 U and signed so that each column's largest-magnitude entry
     is positive.
     """
-    a = np.array(ms, dtype=float)
+    a = np.asarray(ms, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a set of square matrices of equal size")
     if a.shape[0] < 1:
@@ -53,7 +55,7 @@ def joint_diagonalize(ms, tol: float = 1e-12, max_sweeps: int = 100) -> JointDia
     trace = [_diag_mass(a)]
     sweeps = 0
     converged = p < 2
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         if converged:
             break
         sweeps = sweep + 1

@@ -67,7 +67,8 @@ def max_abs_correlations(recovered: np.ndarray, targets) -> list:
 
     `recovered` is a tensor series (components taken in linear-layout order)
     or a (T, k) component matrix.  Returns a list of (max |corr|, component
-    multi-index) pairs; zero-variance components are skipped.
+    multi-index) pairs; zero-variance components are skipped, and a
+    constant target raises ValueError.
     """
     comps = np.asarray(recovered, dtype=float)
     dims = comps.shape[1:]
@@ -82,10 +83,12 @@ def max_abs_correlations(recovered: np.ndarray, targets) -> list:
         warnings.warn(f"skipping {int((~ok).sum())} zero-variance component(s)")
     cc = (comps - comps.mean(axis=0)) / np.where(ok, sd, 1.0)
     out = []
-    for target in targets:
+    for i, target in enumerate(targets, start=1):
         target = np.asarray(target, dtype=float)
         if target.shape[0] != t:
             raise ValueError("target length does not match the series")
+        if target.min() == target.max():
+            raise ValueError(f"target {i} is constant, so its correlation is undefined")
         tc = (target - target.mean()) / target.std()
         corr = np.abs(cc.T @ tc) / t
         corr[~ok] = -np.inf

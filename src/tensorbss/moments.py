@@ -46,16 +46,13 @@ def _grid(w: np.ndarray, base: np.ndarray, rho: int) -> np.ndarray:
     return (w.T @ base).reshape(p, p, p, p) / (n * rho)
 
 
-def mode_autocov(xs: np.ndarray, mode: int, tau: int, symmetrize: bool = True) -> np.ndarray:
+def mode_autocov(xs: np.ndarray, mode: int, tau: int) -> np.ndarray:
     """Mode lagged covariance (1/rho_m) E[X^(m)_t (X^(m)_{t+tau})^T]."""
     f = series_flatten(xs, mode)
     t, _, rho = f.shape
     _check_lag(tau, t)
     n = t - tau
-    m = np.tensordot(f[:n], f[tau:tau + n], axes=([0, 2], [0, 2])) / (n * rho)
-    if symmetrize:
-        m = 0.5 * (m + m.T)
-    return m
+    return np.tensordot(f[:n], f[tau:tau + n], axes=([0, 2], [0, 2])) / (n * rho)
 
 
 def mode_b_tau(xs: np.ndarray, mode: int, tau: int) -> np.ndarray:
@@ -97,7 +94,7 @@ def c_tau_grid(xs: np.ndarray, tau: int) -> np.ndarray:
     B_ij = E[(x_{t+tau})_i (x_{t+tau})_j x_t x_t^T] and S = E[x_t x_{t+tau}^T].
     """
     out = (mode_b_lags_grid(xs, 1, (tau, tau, 0, 0))
-           - _pair_term(mode_autocov(xs, 1, tau, symmetrize=False)))
+           - _pair_term(mode_autocov(xs, 1, tau)))
     p = out.shape[0]
     out[range(p), range(p)] -= np.eye(p)
     return out

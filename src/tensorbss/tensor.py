@@ -14,6 +14,9 @@ Conventions used throughout the package:
 * The m-flattening collects the m-mode vectors as columns, the column
   index enumerating the remaining indices with the smallest-numbered
   remaining mode varying fastest.
+* :func:`m_flatten`, :func:`mode_product` and :func:`vectorize` are the
+  T = 1 cases of :func:`series_flatten`, :func:`series_mode_product` and
+  :func:`series_components`.
 """
 
 from __future__ import annotations
@@ -42,12 +45,7 @@ def _check_mode(mode: int, order: int) -> int:
 
 def m_flatten(x: np.ndarray, mode: int) -> np.ndarray:
     """Return the m-flattening, a (p_m, rho_m) matrix of all m-mode vectors."""
-    x = np.asarray(x, dtype=float)
-    ax = _check_mode(mode, x.ndim)
-    xt = np.moveaxis(x, ax, 0)
-    # F-order reshape keeps axis 0 intact and enumerates the remaining
-    # indices with the smallest remaining mode fastest.
-    return xt.reshape(xt.shape[0], -1, order="F")
+    return series_flatten(np.asarray(x, dtype=float)[None], mode)[0]
 
 
 def m_unflatten(mat: np.ndarray, mode: int, dims) -> np.ndarray:
@@ -67,20 +65,12 @@ def m_unflatten(mat: np.ndarray, mode: int, dims) -> np.ndarray:
 
 def mode_product(x: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     """Apply the matrix `a` to every m-mode vector of `x`."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    ax = _check_mode(mode, x.ndim)
-    if a.ndim != 2 or a.shape[1] != x.shape[ax]:
-        raise ValueError(
-            f"matrix of shape {a.shape} cannot act on mode {mode} of size {x.shape[ax]}"
-        )
-    xt = np.tensordot(a, x, axes=(1, ax))
-    return np.moveaxis(xt, 0, ax)
+    return series_mode_product(np.asarray(x, dtype=float)[None], a, mode)[0]
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
     """Linearize a tensor with the first index fastest."""
-    return np.asarray(x, dtype=float).reshape(-1, order="F")
+    return series_components(np.asarray(x, dtype=float)[None])[0]
 
 
 def unvectorize(v: np.ndarray, dims) -> np.ndarray:
@@ -105,7 +95,7 @@ def series_flatten(xs: np.ndarray, mode: int) -> np.ndarray:
 
 
 def series_mode_product(xs: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
-    """Apply :func:`mode_product` to every frame of a series."""
+    """Apply the matrix `a` to every m-mode vector of every frame of a series."""
     xs = np.asarray(xs, dtype=float)
     a = np.asarray(a, dtype=float)
     ax = _check_mode(mode, xs.ndim - 1) + 1

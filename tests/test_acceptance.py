@@ -103,7 +103,7 @@ def test_criterion_2_moment_functionals_match_oracles(report):
 
     # the (i, j) matrices are checked as entries [i-1, j-1] of the grids the fit uses
     for tau in (0, 1, 3):
-        track(moments.mode_autocov(flat, 1, tau, symmetrize=False),
+        track(moments.mode_autocov(flat, 1, tau),
               oracles.naive_sigma_tau(flat, tau))
         track(moments.mode_b_tau(flat, 1, tau), oracles.naive_b_tau(flat, tau))
         b_grid = moments.mode_b_lags_grid(flat, 1, (tau, tau, 0, 0))
@@ -112,7 +112,7 @@ def test_criterion_2_moment_functionals_match_oracles(report):
             track(b_grid[i - 1, j - 1], oracles.naive_b_tau_ij(flat, tau, i, j))
             track(c_grid[i - 1, j - 1], oracles.naive_c_tau_ij(flat, tau, i, j))
         for m in (1, 2, 3):
-            track(moments.mode_autocov(xs, m, tau, symmetrize=False),
+            track(moments.mode_autocov(xs, m, tau),
                   oracles.naive_mode_autocov(xs, m, tau))
             track(moments.mode_b_tau(xs, m, tau),
                   oracles.naive_mode_b_tau(xs, m, tau))

@@ -11,6 +11,7 @@ from tensorbss.bench import (
     parse_experiment_spec,
     run_benchmark,
     summary_csv,
+    write_manifest,
 )
 from tensorbss.cli import main, read_matrices, write_matrices
 from tensorbss.tensor import read_series, write_series
@@ -72,6 +73,14 @@ class TestSpecParsing:
             ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
                            methods=(method,), lags={method: lags})
 
+    def test_repeated_method_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="method 'tsobi' is listed more than once"):
+            ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
+                           methods=("tsobi", "sobi", "tsobi"))
+        spec = SPEC_TEXT.replace("methods = tsobi, tfobi", "methods = tfobi, tsobi, tfobi")
+        with pytest.raises(ValueError, match="'tfobi' is listed more than once"):
+            parse_experiment_spec(write_spec(tmp_path, spec))
+
     def test_dims_not_matching_setting_rejected(self):
         with pytest.raises(ValueError, match="6 cells"):
             ExperimentSpec(setting="arma", mixing="haar", dims=(3, 2), lengths=(200,))
@@ -101,6 +110,13 @@ class TestRunBenchmark:
             assert a1["mean_mdi"] == a2["mean_mdi"]
             assert a1["n_ok"] == 3 and a1["n_failed"] == 0
             assert 0.0 <= a1["mean_mdi"] <= 1.0
+
+    def test_manifest_lists_lag_overrides(self, tmp_path):
+        spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
+                              methods=("tsobi",), lags={"tsobi": range(1, 5)})
+        write_manifest(run_benchmark(spec), tmp_path / "manifest.json")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["spec"]["lags"] == {"tsobi": [1, 2, 3, 4]}
 
     def test_jobs_do_not_change_results(self):
         spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
@@ -268,6 +284,18 @@ class TestCliEvaluate:
         assert len(lines) == 4
         assert all("max_abs_corr=1" in ln for ln in lines)
 
+    def test_constant_target_is_usage_error(self, tmp_path, capsys):
+        zs = np.random.default_rng(3).standard_normal((200, 2))
+        targets = zs.copy()
+        targets[:, 1] = 0.1
+        write_series(tmp_path / "rec.ts", zs)
+        write_series(tmp_path / "targets.ts", targets)
+        assert main(["evaluate", "--recovered", str(tmp_path / "rec.ts"),
+                     "--targets", str(tmp_path / "targets.ts")]) == 1
+        captured = capsys.readouterr()
+        assert "max_abs_corr" not in captured.out
+        assert captured.err.startswith("error: target 2 is constant")
+
     def test_both_or_neither_mode_is_usage_error(self, capsys):
         assert main(["evaluate"]) == 1
 
@@ -342,6 +370,17 @@ class TestMatrixFileFormat:
         path.write_text("rows=2 cols=2\n1 0\n0 1\n")
         with pytest.raises(ValueError):
             read_matrices(path)
+
+    @pytest.mark.parametrize("header", ["matrices=0", "matrices=-1", "matrices=x",
+                                        "matrices=", "rows=2 cols=2"])
+    def test_bad_file_header_is_usage_error(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\nmode=1 rows=2 cols=2\n1 0\n0 1\n")
+        with pytest.raises(ValueError, match="expected 'matrices=<positive integer>'"):
+            read_matrices(path)
+        assert main(["evaluate", "--unmixers", str(path), "--mixing", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed matrix file header {header!r}")
 
     @pytest.mark.parametrize("text", [
         "matrices=2\nmode=1 rows=2 cols=2\n1 0\n0 1\n",  # truncated after one block

@@ -33,7 +33,7 @@ class TestWhitening:
         xs = rng.standard_normal((500, 4)) @ rng.standard_normal((4, 4))
         xs -= xs.mean(axis=0)
         ys, (w,) = whiten(xs)
-        np.testing.assert_allclose(moments.mode_autocov(ys, 1, 0, symmetrize=False), np.eye(4),
+        np.testing.assert_allclose(moments.mode_autocov(ys, 1, 0), np.eye(4),
                                    atol=1e-10)
 
     def test_vector_whitener_for_diagonal_covariance(self):
@@ -55,7 +55,7 @@ class TestWhitening:
         # Simultaneous standardization from a finite sample leaves each mode
         # covariance proportional to the identity, not exactly I.
         for m in range(1, 4):
-            cov = moments.mode_autocov(ys, m, 0, symmetrize=False)
+            cov = moments.mode_autocov(ys, m, 0)
             off = cov - np.diag(np.diag(cov))
             assert np.max(np.abs(off)) < 0.2 * np.min(np.diag(cov))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tensorbss import linalg
 from tensorbss.bss import whiten
 from tensorbss.linalg import RankDeficiencyError, joint_diagonalize
 
@@ -115,12 +116,24 @@ class TestJointDiagonalize:
         with pytest.raises(ValueError):
             joint_diagonalize(np.zeros((0, 3, 3)))
 
-    def test_non_convergence_flagged_not_fatal(self):
+    def test_non_convergence_flagged_not_fatal(self, monkeypatch):
         ms = rng.standard_normal((5, 6, 6))
         ms = 0.5 * (ms + ms.transpose(0, 2, 1))
-        res = joint_diagonalize(ms, tol=0.0, max_sweeps=2)
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 2)
+        res = joint_diagonalize(ms, tol=0.0)
         assert not res.converged
         assert res.sweeps_used == 2
+
+    def test_non_symmetric_set_diagonalized_as_its_symmetric_parts(self):
+        # SOBI hands the raw lagged covariances over and relies on this
+        ms = np.random.default_rng(8).standard_normal((6, 5, 5))
+        sym = 0.5 * (ms + ms.transpose(0, 2, 1))
+        assert not np.array_equal(ms, sym)
+        raw, parts = joint_diagonalize(ms), joint_diagonalize(sym)
+        assert np.array_equal(raw.rotation, parts.rotation)
+        assert raw.objective == parts.objective
+        assert raw.objective_trace == parts.objective_trace
+        assert (raw.sweeps_used, raw.converged) == (parts.sweeps_used, parts.converged)
 
     def test_deterministic_output_convention(self):
         q = random_orthogonal(5)

@@ -119,6 +119,11 @@ class TestMaxAbsCorrelations:
         assert pairs[0][1] == (2,)
         assert pairs[0][0] > 1.0 - 1e-12
 
+    def test_constant_target_rejected(self):
+        zs = np.random.default_rng(23).standard_normal((100, 3))
+        with pytest.raises(ValueError, match="target 2 is constant"):
+            max_abs_correlations(zs, [zs[:, 0], np.full(100, 0.1), zs[:, 2]])
+
 
 class TestKurtosisRank:
     def test_gaussian_components_near_zero(self):

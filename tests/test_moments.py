@@ -16,36 +16,29 @@ class TestSigmaTau:
         xs = xs - xs.mean(axis=0)
         w = np.linalg.inv(np.linalg.cholesky(xs.T @ xs / len(xs)))
         ys = xs @ w.T
-        assert np.allclose(moments.mode_autocov(ys, 1, 0, symmetrize=False), np.eye(3),
+        assert np.allclose(moments.mode_autocov(ys, 1, 0), np.eye(3),
                            atol=1e-10)
 
     def test_two_point_hand_value(self):
         xs = np.array([[1.0, 0.0], [0.0, 1.0]])
         expected = np.array([[0.0, 1.0], [0.0, 0.0]])  # single summand outer(x1, x2)
-        assert np.array_equal(moments.mode_autocov(xs, 1, 1, symmetrize=False), expected)
+        assert np.array_equal(moments.mode_autocov(xs, 1, 1), expected)
 
     def test_ar1_autocovariance(self):
         r = np.random.default_rng(5)
         xs = np.column_stack([gen_arma(ArmaSpec(phi=(0.9,)), 50000, r) for _ in range(2)])
-        s1 = moments.mode_autocov(xs, 1, 1, symmetrize=False)
+        s1 = moments.mode_autocov(xs, 1, 1)
         assert abs(s1[0, 0] - 0.9) < 0.02
         assert abs(s1[1, 1] - 0.9) < 0.02
 
-    def test_symmetrize_flag(self):
-        xs = rng.standard_normal((50, 3))
-        m = moments.mode_autocov(xs, 1, 2, symmetrize=True)
-        assert np.array_equal(m, m.T)
-        raw = moments.mode_autocov(xs, 1, 2, symmetrize=False)
-        assert np.allclose(m, 0.5 * (raw + raw.T))
-
     def test_lag_out_of_range(self):
         with pytest.raises(ValueError):
-            moments.mode_autocov(rng.standard_normal((5, 2)), 1, 5, symmetrize=False)
+            moments.mode_autocov(rng.standard_normal((5, 2)), 1, 5)
 
     def test_matches_oracle(self):
         xs = rng.standard_normal((30, 3))
         for tau in (0, 1, 3):
-            assert np.allclose(moments.mode_autocov(xs, 1, tau, symmetrize=False),
+            assert np.allclose(moments.mode_autocov(xs, 1, tau),
                                oracles.naive_sigma_tau(xs, tau), atol=1e-12)
 
 
@@ -118,7 +111,7 @@ class TestCTauIJ:
     def test_delta_term_only_on_diagonal_indices(self):
         xs = rng.standard_normal((30, 2))
         b = moments.mode_b_lags_grid(xs, 1, (1, 1, 0, 0))[0, 1]
-        s = moments.mode_autocov(xs, 1, 1, symmetrize=False)
+        s = moments.mode_autocov(xs, 1, 1)
         e = np.zeros((2, 2))
         e[0, 1] = e[1, 0] = 1.0
         assert np.allclose(moments.c_tau_grid(xs, 1)[0, 1], b - s @ e @ s.T, atol=1e-14)
@@ -136,7 +129,7 @@ class TestModeCov:
         x = np.zeros((3, 2, 2))
         x[0, 0, 0] = 1.0
         xs = np.repeat(x[None], 5, axis=0)
-        g = moments.mode_autocov(xs, 1, 0, symmetrize=False)
+        g = moments.mode_autocov(xs, 1, 0)
         expected = np.zeros((3, 3))
         expected[0, 0] = 0.25  # single unit fiber, rho_1 = 4
         assert np.allclose(g, expected, atol=1e-14)
@@ -144,13 +137,13 @@ class TestModeCov:
     def test_iid_normal_is_identity(self):
         xs = np.random.default_rng(3).standard_normal((100000, 3, 2, 2))
         for mode in (1, 2, 3):
-            assert np.allclose(moments.mode_autocov(xs, mode, 0, symmetrize=False),
+            assert np.allclose(moments.mode_autocov(xs, mode, 0),
                                np.eye(xs.shape[mode]), atol=0.02)
 
     def test_matches_oracle(self):
         xs = rng.standard_normal((20, 3, 2, 2))
         for mode in (1, 2, 3):
-            assert np.allclose(moments.mode_autocov(xs, mode, 0, symmetrize=False),
+            assert np.allclose(moments.mode_autocov(xs, mode, 0),
                                oracles.naive_mode_autocov(xs, mode, 0), atol=1e-12)
 
 
@@ -158,7 +151,7 @@ class TestModeAutocov:
     def test_tau0_reduces_to_mode_cov(self):
         xs = rng.standard_normal((30, 3, 2))
         cov = np.einsum("tij,tkj->ik", xs, xs) / (30 * 2)  # sum_t X_t X_t^T / (T rho_1)
-        assert np.allclose(moments.mode_autocov(xs, 1, 0, symmetrize=False), cov, atol=1e-14)
+        assert np.allclose(moments.mode_autocov(xs, 1, 0), cov, atol=1e-14)
 
     def test_ar1_fibers_diagonal_dominance(self):
         from tensorbss.tensor import unvectorize
@@ -170,15 +163,10 @@ class TestModeAutocov:
         s1 = moments.mode_autocov(xs, 1, 1)
         assert np.allclose(s1, 0.9 * np.eye(3), atol=0.05)
 
-    def test_symmetrized_exactly_symmetric(self):
-        xs = rng.standard_normal((40, 3, 2))
-        m = moments.mode_autocov(xs, 2, 3)
-        assert np.array_equal(m, m.T)
-
     def test_matches_oracle(self):
         xs = rng.standard_normal((30, 3, 2, 2))
         for mode in (1, 2, 3):
-            got = moments.mode_autocov(xs, mode, 2, symmetrize=False)
+            got = moments.mode_autocov(xs, mode, 2)
             assert np.allclose(got, oracles.naive_mode_autocov(xs, mode, 2), atol=1e-12)
 
 
@@ -253,7 +241,7 @@ class TestModeCTauIJ:
         g1 = moments.mode_b_lags_grid(xs, 1, (0, 1, 1, 0))
         g2 = moments.mode_b_lags_grid(xs, 1, (0, 1, 0, 1))
         g3 = moments.mode_b_lags_grid(xs, 1, (1, 1, 0, 0))
-        s0 = moments.mode_autocov(xs, 1, 0, symmetrize=False)
+        s0 = moments.mode_autocov(xs, 1, 0)
         grid = moments.mode_c_grid(xs, 1, 1)
         for (i, j) in ((1, 1), (2, 3)):
             e = np.zeros((3, 3))
@@ -294,7 +282,7 @@ class TestModeCTauIJ:
 class TestStructuralInvariants:
     def test_order1_mode_functionals_reduce_to_vector(self):
         xs = rng.standard_normal((25, 4))
-        assert np.allclose(moments.mode_autocov(xs, 1, 2, symmetrize=False),
+        assert np.allclose(moments.mode_autocov(xs, 1, 2),
                            oracles.naive_sigma_tau(xs, 2), atol=1e-13)
         assert np.allclose(moments.mode_b_tau(xs, 1, 1),
                            oracles.naive_b_tau(xs, 1), atol=1e-13)
@@ -305,7 +293,7 @@ class TestStructuralInvariants:
         # up to a multiple of S0 S0' - delta_ij I, which does not move the
         # joint diagonalizer
         xs = rng.standard_normal((25, 4))
-        s0 = moments.mode_autocov(xs, 1, 0, symmetrize=False)
+        s0 = moments.mode_autocov(xs, 1, 0)
         mode_grid = moments.mode_c_grid(xs, 1, 0)
         vector_grid = moments.c_tau_grid(xs, 0)
         for (i, j) in ((1, 1), (2, 4)):
