@@ -77,6 +77,21 @@ def _parse_lags(text: str) -> tuple:
                          f"with integer a, b, c") from None
 
 
+def _parse_ints(key: str, text: str) -> tuple:
+    """Read a comma-separated list of integers given for `key`."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{key}: expected comma-separated integers, got {text!r}") from None
+
+
+def _parse_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected an integer, got {text!r}") from None
+
+
 def parse_experiment_spec(path) -> ExperimentSpec:
     """Parse the flat key-value config format.
 
@@ -104,12 +119,12 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         spec = ExperimentSpec(
             setting=kv.pop("setting"),
             mixing=kv.pop("mixing"),
-            dims=tuple(int(v) for v in kv.pop("dims", "3,2,2").split(",")),
-            lengths=tuple(int(v) for v in kv.pop("T").split(",")),
+            dims=_parse_ints("dims", kv.pop("dims", "3,2,2")),
+            lengths=_parse_ints("T", kv.pop("T")),
             methods=tuple(m.strip() for m in kv.pop("methods").split(",")),
             lags=lags,
-            replicates=int(kv.pop("reps", "1")),
-            seed=int(kv.pop("seed", "0")),
+            replicates=_parse_int("reps", kv.pop("reps", "1")),
+            seed=_parse_int("seed", kv.pop("seed", "0")),
             out=kv.pop("out", "bench_out"),
         )
     except KeyError as exc:

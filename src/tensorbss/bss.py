@@ -89,8 +89,7 @@ class UnmixingResult:
     """Per-mode unmixers and the recovered series for one fitted method."""
 
     mode_unmixers: list  # Gamma^m = U_m^T W_m, one per mode
-    rotations: list  # U_m
-    whiteners: list  # W_m = (Sigma_0^m)^{-1/2}
+    rotations: list  # U_m, so the whitener is W_m = U_m Gamma^m
     mean: np.ndarray  # training temporal mean frame
     recovered: np.ndarray
     diagnostics: dict = field(default_factory=dict)
@@ -127,11 +126,11 @@ def whiten(xs: np.ndarray):
     return ys, whiteners
 
 
-def unmix(xs: np.ndarray, method: str, lags=None, tol: float = 1e-12) -> UnmixingResult:
+def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
     """Fit one of the ten methods by name over its lag set (`method_lags`).
 
     Centers, standardizes every mode (`whiten`), jointly diagonalizes each
-    mode's lag matrices to tolerance `tol` and assembles Gamma^m = U_m^T W_m.
+    mode's lag matrices (`joint_diagonalize`) and assembles Gamma^m = U_m^T W_m.
     Vector methods applied to tensor input operate on the vectorized frames.
     """
     lags = method_lags(method, lags)
@@ -153,7 +152,7 @@ def unmix(xs: np.ndarray, method: str, lags=None, tol: float = 1e-12) -> Unmixin
         p = ys.shape[m]
         # one (K, p, p) set; a grid's matrices go in (i, j) order, j fastest
         mats = np.concatenate([np.reshape(lag_matrices(ys, m, tau), (-1, p, p)) for tau in lags])
-        res = joint_diagonalize(mats, tol=tol)
+        res = joint_diagonalize(mats)
         rotations.append(res.rotation)
         gammas.append(res.rotation.T @ w)
         diag_info.append({"objective": res.objective, "sweeps_used": res.sweeps_used,
@@ -162,7 +161,6 @@ def unmix(xs: np.ndarray, method: str, lags=None, tol: float = 1e-12) -> Unmixin
     return UnmixingResult(
         mode_unmixers=gammas,
         rotations=rotations,
-        whiteners=whiteners,
         mean=mean,
         recovered=recovered,
         diagnostics={"joint_diag": diag_info},

@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import _parse_lags, parse_experiment_spec, run_benchmark, summary_csv, write_manifest
+from .bench import (_parse_ints, _parse_lags, parse_experiment_spec, run_benchmark,
+                    summary_csv, write_manifest)
 from .bss import METHOD_NAMES, RankDeficiencyError, method_lags, unmix
 from .metrics import kron_unmixing, kurtosis_rank, max_abs_correlations, mdi
 from .simgen import gen_latent_setting, gen_mixing, mix
@@ -63,13 +64,9 @@ def read_matrices(path) -> list:
     return mats
 
 
-def _parse_dims(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
-
-
 def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
-    dims = _parse_dims(args.dims)
+    dims = _parse_ints("--dims", args.dims)
     zs = gen_latent_setting(args.setting, args.T, rng, dims=dims)
     mats = gen_mixing(dims, args.mixing, rng)
     xs = mix(zs, mats)
@@ -106,6 +103,12 @@ def cmd_evaluate(args) -> int:
     if args.mixing:
         gammas = read_matrices(args.unmixers)
         mats = read_matrices(args.mixing)
+        # per mode, or one block on the vectorized frames from a vector method
+        sizes = [[len(a) for a in ms] for ms in (gammas, mats)]
+        cells = int(np.prod(sizes[1]))
+        if sizes[0] not in (sizes[1], [cells]):
+            raise ValueError(f"unmixer sizes {sizes[0]} do not match the mixing's per-mode "
+                             f"sizes {sizes[1]} (or one block of size {cells})")
         result = mdi(kron_unmixing(gammas), kron_unmixing(mats))
         print(f"mdi={result.value:.12g}")
         print("assignment=" + ",".join(str(v + 1) for v in result.assignment))

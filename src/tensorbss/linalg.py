@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RankDeficiencyError", "JointDiagResult", "MAX_SWEEPS", "joint_diagonalize"]
+__all__ = ["RankDeficiencyError", "JointDiagResult", "MAX_SWEEPS", "TOL", "joint_diagonalize"]
 
 MAX_SWEEPS = 100  # Jacobi sweeps before a fit is reported as not converged
+TOL = 1e-12  # Givens angles within this are skipped; a sweep of only such converges
 
 
 class RankDeficiencyError(ValueError):
@@ -27,13 +28,14 @@ class JointDiagResult:
     objective_trace: list = field(default_factory=list)
 
 
-def joint_diagonalize(ms, tol: float = 1e-12) -> JointDiagResult:
+def joint_diagonalize(ms) -> JointDiagResult:
     """Find an orthogonal U maximizing the summed squared diagonals of U^T M U.
 
     Cyclic Jacobi over index pairs; each Givens angle solves the 2x2
     sub-problem in closed form over the symmetric parts (M + M^T) / 2 of the
     input matrices, which is all the objective sees; the input set need not
-    be symmetric.  At most `MAX_SWEEPS` sweeps run.
+    be symmetric.  A sweep whose angles all lie within `TOL` ends the search;
+    after `MAX_SWEEPS` sweeps it stops, not converged.
 
     The columns of the returned rotation are ordered by descending diagonal
     of U^T M_1 U and signed so that each column's largest-magnitude entry
@@ -68,7 +70,7 @@ def joint_diagonalize(ms, tol: float = 1e-12) -> JointDiagResult:
                 toff = 2.0 * (d @ o)
                 theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
                 max_angle = max(max_angle, abs(theta))
-                if abs(theta) <= tol:
+                if abs(theta) <= TOL:
                     continue
                 c = np.cos(theta)
                 s = np.sin(theta)
@@ -85,7 +87,7 @@ def joint_diagonalize(ms, tol: float = 1e-12) -> JointDiagResult:
                 u[:, i] = c * ui + s * u[:, j]
                 u[:, j] = c * u[:, j] - s * ui
         trace.append(_diag_mass(a))
-        if max_angle <= tol:
+        if max_angle <= TOL:
             converged = True
     # deterministic order/sign convention: descending diagonal of U^T M_1 U
     m0 = np.asarray(ms[0], dtype=float)

@@ -3,6 +3,7 @@ signal matching by correlation, and kurtosis-based component ranking."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import reduce
 
@@ -20,7 +21,6 @@ class MdiValue:
 
     value: float
     assignment: np.ndarray  # assignment[k] = row of gain matrix matched to column k
-    row_scores: np.ndarray  # normalized squared gains picked by the assignment
 
 
 def kron_unmixing(gammas) -> np.ndarray:
@@ -58,8 +58,7 @@ def mdi(gamma_hat: np.ndarray, omega: np.ndarray) -> MdiValue:
     assignment[cols] = rows
     s_star = scores[rows, cols].sum()
     value = np.sqrt(max(p - s_star, 0.0) / (p - 1))
-    return MdiValue(value=float(value), assignment=assignment,
-                    row_scores=scores[assignment, np.arange(p)])
+    return MdiValue(value=float(value), assignment=assignment)
 
 
 def max_abs_correlations(recovered: np.ndarray, targets) -> list:
@@ -67,34 +66,23 @@ def max_abs_correlations(recovered: np.ndarray, targets) -> list:
 
     `recovered` is a tensor series (components taken in linear-layout order)
     or a (T, k) component matrix.  Returns a list of (max |corr|, component
-    multi-index) pairs; zero-variance components are skipped, and a
-    constant target raises ValueError.
+    multi-index) pairs; constant components are skipped with a warning, and
+    a constant target raises ValueError.
     """
-    comps = np.asarray(recovered, dtype=float)
-    dims = comps.shape[1:]
-    if comps.ndim > 2:
-        comps = series_components(comps)
-    t, k = comps.shape
-    sd = comps.std(axis=0)
-    ok = sd > 0
-    if not np.all(ok):
-        import warnings
-
-        warnings.warn(f"skipping {int((~ok).sum())} zero-variance component(s)")
-    cc = (comps - comps.mean(axis=0)) / np.where(ok, sd, 1.0)
+    comps, dims, constant = _components(recovered)
+    cc = (comps - comps.mean(axis=0)) / np.where(constant, 1.0, comps.std(axis=0))
     out = []
     for i, target in enumerate(targets, start=1):
         target = np.asarray(target, dtype=float)
-        if target.shape[0] != t:
+        if target.shape[0] != len(comps):
             raise ValueError("target length does not match the series")
         if target.min() == target.max():
             raise ValueError(f"target {i} is constant, so its correlation is undefined")
         tc = (target - target.mean()) / target.std()
-        corr = np.abs(cc.T @ tc) / t
-        corr[~ok] = -np.inf
+        corr = np.abs(cc.T @ tc) / len(comps)
+        corr[constant] = -np.inf
         best = int(np.argmax(corr))
-        idx = _component_index(best, dims)
-        out.append((float(corr[best]), idx))
+        out.append((float(corr[best]), _component_index(best, dims)))
     return out
 
 
@@ -102,24 +90,30 @@ def kurtosis_rank(recovered: np.ndarray) -> list:
     """Components ranked by descending sample excess kurtosis (m4/m2^2 - 3).
 
     Returns a list of (excess kurtosis, component multi-index) pairs;
-    zero-variance components are excluded.
+    constant components are skipped with a warning.
     """
+    if np.shape(recovered)[0] < 4:
+        raise ValueError("kurtosis needs at least 4 observations")
+    comps, dims, constant = _components(recovered)
+    c = comps - comps.mean(axis=0)
+    m2 = np.mean(c * c, axis=0)
+    m4 = np.mean(c ** 4, axis=0)
+    entries = [(float(m4[k] / m2[k] ** 2 - 3.0), _component_index(k, dims))
+               for k in range(comps.shape[1]) if not constant[k]]
+    entries.sort(key=lambda e: -e[0])
+    return entries
+
+
+def _components(recovered: np.ndarray) -> tuple:
+    """The (T, k) components, frame dims and mask of constant (min == max) ones."""
     comps = np.asarray(recovered, dtype=float)
     dims = comps.shape[1:]
     if comps.ndim > 2:
         comps = series_components(comps)
-    if comps.shape[0] < 4:
-        raise ValueError("kurtosis needs at least 4 observations")
-    c = comps - comps.mean(axis=0)
-    m2 = np.mean(c * c, axis=0)
-    m4 = np.mean(c ** 4, axis=0)
-    entries = []
-    for k in range(comps.shape[1]):
-        if m2[k] == 0:
-            continue
-        entries.append((float(m4[k] / m2[k] ** 2 - 3.0), _component_index(k, dims)))
-    entries.sort(key=lambda e: -e[0])
-    return entries
+    constant = comps.min(axis=0) == comps.max(axis=0)
+    if constant.any():
+        warnings.warn(f"skipping {int(constant.sum())} constant component(s)")
+    return comps, dims, constant
 
 
 def _component_index(k: int, dims) -> tuple:

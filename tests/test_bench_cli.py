@@ -99,6 +99,28 @@ class TestSpecParsing:
         assert "lags.tsobi: malformed lag set" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line,key,text", [
+        ("dims    = 3,2,2", "dims", "3,x,2"),
+        ("T       = 200, 400", "T", "200,4OO"),
+    ])
+    def test_malformed_integer_list_names_its_key(self, tmp_path, capsys, line, key, text):
+        spec = SPEC_TEXT.replace(line, f"{key} = {text}")
+        with pytest.raises(ValueError, match=f"^{key}: expected comma-separated "
+                                             f"integers, got '{text}'$"):
+            parse_experiment_spec(write_spec(tmp_path, spec))
+        assert main(["bench", "--spec", str(tmp_path / "bench.cfg")]) == 1
+        assert f"{key}: expected comma-separated integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,key,text", [
+        ("reps    = 3", "reps", "three"),
+        ("seed    = 7", "seed", "7,8"),
+    ])
+    def test_malformed_integer_names_its_key(self, tmp_path, line, key, text):
+        spec = SPEC_TEXT.replace(line, f"{key} = {text}")
+        with pytest.raises(ValueError, match=f"^{key}: expected an integer, got '{text}'$"):
+            parse_experiment_spec(write_spec(tmp_path, spec))
+
+
 class TestRunBenchmark:
     def test_manifest_determinism_and_shape(self, tmp_path):
         spec = parse_experiment_spec(write_spec(tmp_path))
@@ -195,6 +217,13 @@ class TestCliSimulate:
         assert exc.value.code == 1
 
 
+    def test_malformed_dims_name_the_flag(self, tmp_path, capsys):
+        assert main(["simulate", "--setting", "arma", "--mixing", "haar", "--dims", "3,x",
+                     "--T", "100", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --dims: expected comma-separated integers, got '3,x'\n"
+
+
 class TestCliUnmix:
     def test_unmix_writes_results(self, tmp_path, capsys):
         sim = tmp_path / "sim"
@@ -273,6 +302,35 @@ class TestCliEvaluate:
         out = capsys.readouterr().out
         assert float(out.split("\n")[0].removeprefix("mdi=")) < 1e-12
 
+    def test_swapped_mode_sizes_are_usage_error(self, tmp_path, capsys):
+        # the Kronecker products are both 6x6, so only the per-mode sizes tell
+        rng = np.random.default_rng(5)
+        mats = [rng.standard_normal((p, p)) for p in (2, 3)]
+        write_matrices(tmp_path / "mixing.txt", mats)
+        write_matrices(tmp_path / "unmixers.txt", [np.linalg.inv(a) for a in mats[::-1]])
+        assert main(["evaluate", "--unmixers", str(tmp_path / "unmixers.txt"),
+                     "--mixing", str(tmp_path / "mixing.txt")]) == 1
+        captured = capsys.readouterr()
+        assert "mdi=" not in captured.out
+        assert captured.err.startswith("error: unmixer sizes [3, 2] do not match "
+                                       "the mixing's per-mode sizes [2, 3]")
+
+    def test_one_unmixer_block_must_cover_the_frame(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        mats = [rng.standard_normal((p, p)) for p in (3, 2)]
+        write_matrices(tmp_path / "mixing.txt", mats)
+        argv = ["evaluate", "--unmixers", str(tmp_path / "unmixers.txt"),
+                "--mixing", str(tmp_path / "mixing.txt")]
+        # a vector method's unmixer acts on the vectorized 6-cell frames
+        write_matrices(tmp_path / "unmixers.txt", [np.linalg.inv(np.kron(mats[1], mats[0]))])
+        assert main(argv) == 0
+        assert float(capsys.readouterr().out.split("\n")[0].removeprefix("mdi=")) < 1e-12
+        write_matrices(tmp_path / "unmixers.txt", [np.linalg.inv(mats[0])])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: unmixer sizes [3] do not match the mixing's per-mode sizes [3, 2] "
+            "(or one block of size 6)\n")
+
     def test_target_matching_output(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         zs = rng.standard_normal((200, 2, 2))
@@ -310,6 +368,15 @@ class TestCliRankAndBench:
         assert lines[0] == "rank,component,excess_kurtosis"
         assert lines[1].startswith("1,1,")
         assert lines[2].startswith("2,2,")
+
+    def test_rank_skips_constant_component(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        xs = np.column_stack([np.full(500, 0.1), rng.standard_t(4, 500)])
+        write_series(tmp_path / "r.ts", xs)
+        with pytest.warns(UserWarning, match="skipping 1 constant component"):
+            assert main(["rank", "--in", str(tmp_path / "r.ts")]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("1,2,")
 
     def test_bench_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"

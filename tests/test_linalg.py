@@ -120,9 +120,23 @@ class TestJointDiagonalize:
         ms = rng.standard_normal((5, 6, 6))
         ms = 0.5 * (ms + ms.transpose(0, 2, 1))
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 2)
-        res = joint_diagonalize(ms, tol=0.0)
+        monkeypatch.setattr(linalg, "TOL", 0.0)
+        res = joint_diagonalize(ms)
         assert not res.converged
         assert res.sweeps_used == 2
+
+    def test_tol_governs_the_stop(self, monkeypatch):
+        ms = np.random.default_rng(9).standard_normal((5, 6, 6))
+        tight = joint_diagonalize(ms)
+        monkeypatch.setattr(linalg, "TOL", 1e-3)
+        loose = joint_diagonalize(ms)
+        assert tight.converged and loose.converged
+        assert loose.sweeps_used < tight.sweeps_used
+        # no Givens angle exceeds pi/4, so no pair is rotated at all
+        monkeypatch.setattr(linalg, "TOL", 1.0)
+        still = joint_diagonalize(ms)
+        assert still.converged and still.sweeps_used == 1
+        assert still.objective == still.objective_trace[0]
 
     def test_non_symmetric_set_diagonalized_as_its_symmetric_parts(self):
         # SOBI hands the raw lagged covariances over and relies on this

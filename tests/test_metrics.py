@@ -51,10 +51,9 @@ class TestMdi:
             v = mdi(rng.standard_normal((p, p)), rng.standard_normal((p, p))).value
             assert 0.0 <= v <= 1.0 + 1e-12
 
-    def test_assignment_and_row_scores_reported(self):
+    def test_assignment_reported(self):
         res = mdi(np.eye(3)[::-1], np.eye(3))
         np.testing.assert_array_equal(res.assignment, [2, 1, 0])
-        np.testing.assert_allclose(res.row_scores, 1.0, atol=1e-15)
 
     def test_extreme_scales(self):
         rng = np.random.default_rng(4)
@@ -119,6 +118,14 @@ class TestMaxAbsCorrelations:
         assert pairs[0][1] == (2,)
         assert pairs[0][0] > 1.0 - 1e-12
 
+    def test_constant_component_skipped_with_warning(self):
+        # a constant 0.1 column has a rounding-noise std of about 1e-17, not 0
+        z = np.random.default_rng(24).standard_normal(100)
+        comps = np.column_stack([np.full(100, 0.1), z])
+        with pytest.warns(UserWarning, match="skipping 1 constant component"):
+            pairs = max_abs_correlations(comps, [z])
+        assert pairs[0][1] == (2,)
+
     def test_constant_target_rejected(self):
         zs = np.random.default_rng(23).standard_normal((100, 3))
         with pytest.raises(ValueError, match="target 2 is constant"):
@@ -152,6 +159,15 @@ class TestKurtosisRank:
         for (v1, i1), (v2, i2) in zip(r1, r2):
             assert i1 == i2
             assert abs(v1 - v2) < 1e-10
+
+    def test_constant_component_skipped_with_warning(self):
+        rng = np.random.default_rng(34)
+        comps = np.column_stack([rng.standard_t(4, 1000), np.full(1000, 0.1),
+                                 rng.uniform(-1, 1, 1000)])
+        with pytest.warns(UserWarning, match="skipping 1 constant component"):
+            ranked = kurtosis_rank(comps)
+        assert [idx for _, idx in ranked] == [(1,), (3,)]
+        assert all(type(i) is int for _, idx in ranked for i in idx)
 
     def test_tensor_input_reports_multi_indices(self):
         rng = np.random.default_rng(33)

@@ -15,7 +15,7 @@ means and of the per-replicate MDIs, and n_ok and the sweep-capped counts
 when they differ; for every cell whose mean moved by more than 1e-8 it
 lists the replicates that moved by more than 1e-8.  It then prints the
 7a-7c verdicts of each dump.  It exits 1 when any n_ok or capped count
-differs, and 0 otherwise.
+differs or any verdict fails on either dump, and 0 otherwise.
 """
 
 import json
@@ -85,10 +85,13 @@ def compare(a_path, b_path):
             moved = ", ".join(f"rep {k}: {x['mdi'][k]:.6f} -> {y['mdi'][k]:.6f} ({d:.2e})"
                               for k, d in reps if d > MOVED)
             print(f"  moved by more than {MOVED:g}: {moved}")
+    failing = False
     for name, cells in (("a", a), ("b", b)):
+        gates = verdicts(cells)
+        failing = failing or not all(gates.values())
         print(f"{name}: " + ", ".join(f"{gate} {'holds' if ok else 'FAILS'}"
-                                      for gate, ok in verdicts(cells).items()))
-    return int(counts_differ)
+                                      for gate, ok in gates.items()))
+    return int(counts_differ or failing)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ def dump(src, out):
     arrays = {}
 
     def record(key, res, omega):
-        for field in ("mode_unmixers", "rotations", "whiteners"):
+        for field in ("mode_unmixers", "rotations"):
             for m, a in enumerate(getattr(res, field)):
                 arrays[f"{key}|{field}|{m}"] = a
         arrays[f"{key}|recovered"] = res.recovered
