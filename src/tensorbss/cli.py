@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -199,14 +200,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (RankDeficiencyError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    # library warnings (such as skipped constant components) become
+    # `warning: ...` lines, without the source location and line echo
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args)
+        except (RankDeficiencyError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return NUMERICAL_ERROR
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import drot
 
 __all__ = ["RankDeficiencyError", "JointDiagResult", "MAX_SWEEPS", "TOL", "joint_diagonalize"]
 
@@ -34,8 +35,9 @@ def joint_diagonalize(ms) -> JointDiagResult:
     Cyclic Jacobi over index pairs; each Givens angle solves the 2x2
     sub-problem in closed form over the symmetric parts (M + M^T) / 2 of the
     input matrices, which is all the objective sees; the input set need not
-    be symmetric.  A sweep whose angles all lie within `TOL` ends the search;
-    after `MAX_SWEEPS` sweeps it stops, not converged.
+    be symmetric, but a non-finite entry raises `FloatingPointError`.  A sweep
+    whose angles all lie within `TOL` ends the search; after `MAX_SWEEPS`
+    sweeps it stops, not converged.
 
     The columns of the returned rotation are ordered by descending diagonal
     of U^T M_1 U and signed so that each column's largest-magnitude entry
@@ -46,14 +48,15 @@ def joint_diagonalize(ms) -> JointDiagResult:
         raise ValueError("expected a set of square matrices of equal size")
     if a.shape[0] < 1:
         raise ValueError("need at least one matrix")
-    p = a.shape[1]
-    # symmetrized into a (p, p, K) layout, so that a rotated row or column is
-    # p runs of K contiguous values
-    a = np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0), out=np.empty((p, p, len(a))))
+    if not np.isfinite(a).all():
+        raise FloatingPointError("matrix set is not finite")
+    k, p = a.shape[:2]
+    # symmetrized into a (p, K, p) layout, a[r, k, c] = S_k[r, c]: rows i and j of
+    # all K matrices are one contiguous run each, columns i and j one stride-p run
+    a = np.add(a.transpose(1, 0, 2), a.transpose(2, 0, 1), out=np.empty((p, k, p)))
     a *= 0.5
-    t1 = np.empty(a.shape[1:])
-    t2 = np.empty(a.shape[1:])
     u = np.eye(p)
+    fa, fu = a.reshape(-1), u.reshape(-1)  # flat views that `drot` rotates in place
     trace = [_diag_mass(a)]
     sweeps = 0
     converged = p < 2
@@ -64,28 +67,20 @@ def joint_diagonalize(ms) -> JointDiagResult:
         max_angle = 0.0
         for i in range(p - 1):
             for j in range(i + 1, p):
-                d = a[i, i] - a[j, j]
-                o = a[i, j] + a[j, i]
+                d = a[i, :, i] - a[j, :, j]
+                o = a[i, :, j] + a[j, :, i]
                 ton = d @ d - o @ o
                 toff = 2.0 * (d @ o)
                 theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
                 max_angle = max(max_angle, abs(theta))
                 if abs(theta) <= TOL:
                     continue
-                c = np.cos(theta)
-                s = np.sin(theta)
-                # columns i, j, then rows i, j, in place: x_i <- c x_i + s x_j, x_j <- c x_j - s x_i
-                for xi, xj in ((a[:, i], a[:, j]), (a[i], a[j])):
-                    np.copyto(t1, xi)
-                    np.multiply(xj, s, out=t2)
-                    xi *= c
-                    xi += t2
-                    t1 *= s
-                    xj *= c
-                    xj -= t1
-                ui = u[:, i].copy()
-                u[:, i] = c * ui + s * u[:, j]
-                u[:, j] = c * u[:, j] - s * ui
+                c, s = np.cos(theta), np.sin(theta)
+                # x_i <- c x_i + s x_j, x_j <- c x_j - s x_i (args n, offx, incx, offy, incy):
+                # the set's columns i and j, then its rows i and j, then U's columns
+                drot(fa, fa, c, s, p * k, i, p, j, p, 1, 1)
+                drot(fa, fa, c, s, p * k, i * k * p, 1, j * k * p, 1, 1, 1)
+                drot(fu, fu, c, s, p, i, p, j, p, 1, 1)
         trace.append(_diag_mass(a))
         if max_angle <= TOL:
             converged = True
@@ -107,7 +102,7 @@ def joint_diagonalize(ms) -> JointDiagResult:
 
 
 def _diag_mass(a: np.ndarray) -> float:
-    # the (K, p) diagonals of a (p, p, K) set, in C order, so the sum runs in
+    # the (K, p) diagonals of a (p, K, p) set, in C order, so the sum runs in
     # the order of the matrices and then of the diagonal
-    d = np.ascontiguousarray(np.diagonal(a, axis1=0, axis2=1))
+    d = np.ascontiguousarray(np.diagonal(a, axis1=0, axis2=2))
     return float(np.sum(d * d))

@@ -143,6 +143,8 @@ def read_series(path) -> np.ndarray:
             t = int(t_part.removeprefix("T="))
         except Exception as exc:
             raise ValueError(f"malformed series header: {header!r}") from exc
+        if t < 1 or min(dims) < 1:
+            raise ValueError(f"series header {header!r} needs T >= 1 and every dim >= 1")
         flat = np.loadtxt(fh, ndmin=2)
     if flat.shape != (t, int(np.prod(dims))):
         raise ValueError(

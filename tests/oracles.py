@@ -174,3 +174,44 @@ def match_components_up_to_pj(c1, c2):
         cost[i] = np.minimum(d1, d2)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].max()))
+
+
+def naive_jacobi(ms, tol, max_sweeps):
+    """Textbook cyclic Jacobi joint diagonalization on full matrices.
+
+    Each pair (i, j) takes the closed-form Givens angle of the 2x2 problem
+    over the symmetric parts S_k, then replaces every S_k by G^T S_k G and U
+    by U G with the explicit p x p rotation G.  Returns (U, sweeps,
+    converged), U ordered by descending diagonal of U^T S_1 U and each column
+    signed so that its largest-magnitude entry is positive.
+    """
+    ms = np.asarray(ms, dtype=float)
+    ss = 0.5 * (ms + ms.transpose(0, 2, 1))
+    p = ss.shape[1]
+    u = np.eye(p)
+    sweeps, converged = 0, p < 2
+    while not converged and sweeps < max_sweeps:
+        sweeps += 1
+        largest = 0.0
+        for i in range(p - 1):
+            for j in range(i + 1, p):
+                d = ss[:, i, i] - ss[:, j, j]
+                o = ss[:, i, j] + ss[:, j, i]
+                ton = d @ d - o @ o
+                toff = 2.0 * (d @ o)
+                theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
+                largest = max(largest, abs(theta))
+                if abs(theta) <= tol:
+                    continue
+                g = np.eye(p)
+                g[i, i] = g[j, j] = np.cos(theta)
+                g[j, i] = np.sin(theta)
+                g[i, j] = -np.sin(theta)
+                ss = g.T @ ss @ g
+                u = u @ g
+        converged = largest <= tol
+    u = u[:, np.argsort(-np.diag(ss[0]), kind="stable")]
+    for c in range(p):
+        if u[np.argmax(np.abs(u[:, c])), c] < 0:
+            u[:, c] = -u[:, c]
+    return u, sweeps, converged

@@ -354,6 +354,18 @@ class TestCliEvaluate:
         assert "max_abs_corr" not in captured.out
         assert captured.err.startswith("error: target 2 is constant")
 
+    def test_constant_recovered_component_is_one_warning_line(self, tmp_path, capsys):
+        zs = np.random.default_rng(3).standard_normal((200, 2))
+        rec = zs.copy()
+        rec[:, 0] = 0.1
+        write_series(tmp_path / "rec.ts", rec)
+        write_series(tmp_path / "targets.ts", zs)
+        assert main(["evaluate", "--recovered", str(tmp_path / "rec.ts"),
+                     "--targets", str(tmp_path / "targets.ts")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip().split("\n")[1] == "target 2: max_abs_corr=1 component=(2,)"
+        assert captured.err == "warning: skipping 1 constant component(s)\n"
+
     def test_both_or_neither_mode_is_usage_error(self, capsys):
         assert main(["evaluate"]) == 1
 
@@ -373,10 +385,20 @@ class TestCliRankAndBench:
         rng = np.random.default_rng(7)
         xs = np.column_stack([np.full(500, 0.1), rng.standard_t(4, 500)])
         write_series(tmp_path / "r.ts", xs)
-        with pytest.warns(UserWarning, match="skipping 1 constant component"):
-            assert main(["rank", "--in", str(tmp_path / "r.ts")]) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
+        assert main(["rank", "--in", str(tmp_path / "r.ts")]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.strip().split("\n")
         assert len(lines) == 2 and lines[1].startswith("1,2,")
+        assert captured.err == "warning: skipping 1 constant component(s)\n"
+
+    @pytest.mark.parametrize("header", ["dims=2;T=0", "dims=2,0;T=5"])
+    def test_empty_series_header_is_usage_error(self, tmp_path, capsys, header):
+        path = tmp_path / "empty.ts"
+        path.write_text(header + "\n")
+        assert main(["rank", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: series header '{header}' needs T >= 1 and every dim >= 1\n"
+        assert "UserWarning" not in err
 
     def test_bench_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"

@@ -324,3 +324,13 @@ class TestInputValidation:
         xs[17, 1, 0, 1] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             unmix(xs, method)
+
+    def test_non_finite_moments_raise(self):
+        # at 1e-100 the whitened order-3 series scales as 1e200, so its lagged
+        # moments overflow; the fit must fail, not report converged modes
+        rng = np.random.default_rng([301, 0, 0])
+        zs = gen_latent_setting("arma", 2000, rng)
+        xs = mix(zs, gen_mixing((3, 2, 2), "gaussian", rng))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                      match="matrix set is not finite"):
+            unmix(xs * 1e-100, "tsobi")

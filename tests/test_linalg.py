@@ -5,7 +5,7 @@ from tensorbss import linalg
 from tensorbss.bss import whiten
 from tensorbss.linalg import RankDeficiencyError, joint_diagonalize
 
-from oracles import diag_objective, pj_distance
+from oracles import diag_objective, naive_jacobi, pj_distance
 
 rng = np.random.default_rng(42)
 
@@ -115,6 +115,31 @@ class TestJointDiagonalize:
             joint_diagonalize(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError):
             joint_diagonalize(np.zeros((0, 3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_set_rejected(self, bad):
+        ms = np.random.default_rng(10).standard_normal((3, 4, 4))
+        ms[1, 2, 0] = bad
+        with pytest.raises(FloatingPointError, match="matrix set is not finite"):
+            joint_diagonalize(ms)
+
+    @pytest.mark.parametrize("p", [2, 5, 12])
+    @pytest.mark.parametrize("size", ["one", "below", "above"])
+    def test_matches_textbook_jacobi(self, p, size):
+        # one matrix, and K below and above p(p+1)/2, the dimension of the
+        # symmetric p x p matrices
+        k = {"one": 1, "below": 2, "above": p * (p + 1) // 2 + 3}[size]
+        ms = np.random.default_rng([p, k]).standard_normal((k, p, p))
+        res = joint_diagonalize(ms)
+        u, sweeps, converged = naive_jacobi(ms, linalg.TOL, linalg.MAX_SWEEPS)
+        assert (res.sweeps_used, res.converged) == (sweeps, converged)
+        assert np.abs(res.rotation - u).max() < 1e-12
+
+    def test_one_by_one_set_is_identity(self):
+        res = joint_diagonalize(np.array([[[2.0]], [[-3.0]]]))
+        assert np.array_equal(res.rotation, np.eye(1))
+        assert (res.sweeps_used, res.converged) == (0, True)
+        assert res.objective == 13.0
 
     def test_non_convergence_flagged_not_fatal(self, monkeypatch):
         ms = rng.standard_normal((5, 6, 6))

@@ -6,9 +6,10 @@
 Dump once with the `src/` of each of two checkouts, with the same BLAS and
 thread count, to check that a refactor leaves every fit unchanged; the
 comparison prints the largest absolute difference per method kind and field,
-then every fit mode whose sweep count or convergence flag differs.  `compare`
-exits 0 when every array is bit-identical and 1 when any array differs or any
-sweep count or convergence flag moved.
+with the array that holds it and that difference relative to the array's
+largest |entry|, then every fit mode whose sweep count or convergence flag
+differs.  `compare` exits 0 when every array is bit-identical and 1 when any
+array differs or any sweep count or convergence flag moved.
 
 Inputs: arma-mc replicates (T = 2000) and sv-mc replicates (T = 8000) of
 seeds 301 and 302, reps 0 and 1, drawn as perfbench draws them (haar
@@ -83,16 +84,19 @@ def compare(a_path, b_path):
         else:
             d = np.abs(x - y)
             diff = float(d.max()) if np.isfinite(d).all() else float("inf")
-        worst[kind, field] = max(worst.get((kind, field), 0.0), diff)
+        if diff >= worst.get((kind, field), (0.0,))[0]:
+            scale = float(np.abs(x).max()) if x.size else 0.0
+            worst[kind, field] = (diff, key, diff / scale if scale > 0 else float("inf"))
     fits = len({key.split("|")[0] for key in a.files})
     print(f"{fits} fits, {len(a.files)} arrays compared")
-    for (kind, field), diff in sorted(worst.items()):
-        tag = "bit-identical" if diff == 0.0 else f"max abs diff {diff:.3e}"
+    for (kind, field), (diff, key, rel) in sorted(worst.items()):
+        tag = ("bit-identical" if diff == 0.0 else
+               f"max abs diff {diff:.3e} (relative {rel:.1e}) at {key}")
         print(f"{kind:6s} {field:14s} {tag}")
     print(f"{len(moved)} fit modes changed sweep count or convergence")
     for line in moved:
         print(f"  {line}")
-    return int(bool(moved) or any(diff != 0.0 for diff in worst.values()))
+    return int(bool(moved) or any(diff != 0.0 for diff, _, _ in worst.values()))
 
 
 if __name__ == "__main__":
