@@ -41,6 +41,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown mixing {self.mixing!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
+        if any(d < 1 for d in self.dims):
+            raise ValueError(f"dims: expected sizes >= 1, got {tuple(self.dims)}")
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ValueError(f"method {repeated[0]!r} is listed more than once")
@@ -99,7 +103,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     comma-separated; lag sets accept ``a:b`` ranges.  Keys: setting,
     mixing, dims, T, methods, reps, seed, out, lags.<method>.
     """
-    kv = {}
+    kv, first_line = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -108,7 +112,10 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            kv[key] = val
+            if key in kv:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line "
+                                 f"{first_line[key]}")
+            kv[key], first_line[key] = val, lineno
     lags = {}
     for key in [k for k in kv if k.startswith("lags.")]:
         try:
@@ -171,6 +178,8 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
     Replicates are independent seeded tasks, so results do not depend on
     `jobs` or scheduling order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs: expected an integer >= 1, got {jobs}")
     start = time.time()
     tasks = [(ti, rep) for ti in range(len(spec.lengths))
              for rep in range(spec.replicates)]

@@ -6,9 +6,9 @@ Tensor methods: TSOBI, TgFOBI, TgJADE and TFOBI, TJADE.
 `unmix` is the one entry point; a vector method sees the vectorized
 frames, a (T, p) series, which is the one-mode series whose mode
 functionals (`moments`, with rho = 1) are the vector moments.  The fit
-centers, standardizes every mode simultaneously (`whiten`), builds each
-mode's matrix set from that standardized series with the method's entry
-in `METHOD_NAMES` (vector gjade places its lags differently from tgjade),
+centers, standardizes every mode simultaneously (`whiten`), flattens each
+mode once and builds its matrix set with the method's entry in
+`METHOD_NAMES` (vector gjade places its lags differently from tgjade),
 diagonalizes each mode, and forms Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import moments
 from .linalg import RankDeficiencyError, joint_diagonalize
-from .tensor import series_components, series_mode_product
+from .tensor import series_components, series_flatten, series_multilinear_product
 
 __all__ = [
     "METHOD_NAMES",
@@ -34,13 +34,13 @@ __all__ = [
 DEFAULT_SOBI_LAGS = tuple(range(1, 13))
 DEFAULT_G_LAGS = tuple(range(0, 13))
 
-# The matrix, or (p, p, p, p) grid of matrices, that lag tau contributes on
-# mode m of the standardized series; the lambdas look the functions up at
-# call time, so a wrapper set on `moments` sees every call.
-_SOBI = lambda ys, m, tau: moments.mode_autocov(ys, m, tau)  # noqa: E731
-_GFOBI = lambda ys, m, tau: moments.mode_b_tau(ys, m, tau)  # noqa: E731
-_GJADE = lambda ys, m, tau: moments.mode_c_grid(ys, m, tau)  # noqa: E731
-_VECTOR_GJADE = lambda ys, m, tau: moments.c_tau_grid(ys, tau)  # noqa: E731
+# The matrix, or (p, p, p, p) grid, that lag tau contributes on a mode, from
+# its flattening f (mode 1 of f is that mode); the lambdas look the functions
+# up at call time, so a wrapper set on `moments` sees every call.
+_SOBI = lambda f, tau: moments.mode_autocov(f, 1, tau)  # noqa: E731
+_GFOBI = lambda f, tau: moments.mode_b_tau(f, 1, tau)  # noqa: E731
+_GJADE = lambda f, tau: moments.mode_c_grid(f, 1, tau)  # noqa: E731
+_VECTOR_GJADE = lambda f, tau: moments.c_tau_grid(f, tau)  # noqa: E731
 
 # method name -> (lag matrices, tensor path?, default lags)
 METHOD_NAMES = {
@@ -120,10 +120,7 @@ def whiten(xs: np.ndarray):
                 f"min/max singular value ratio {ratio:.3e}")
         w = (vt.T * (np.sqrt(a.shape[0]) / s)) @ vt
         whiteners.append(0.5 * (w + w.T))
-    ys = xs
-    for m, w in enumerate(whiteners, start=1):
-        ys = series_mode_product(ys, w, m)
-    return ys, whiteners
+    return series_multilinear_product(xs, whiteners), whiteners
 
 
 def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
@@ -147,22 +144,21 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
     mean = xs.mean(axis=0)
     ys, whiteners = whiten(xs - mean)
     rotations, gammas, diag_info = [], [], []
-    recovered = ys
     for m, w in enumerate(whiteners, start=1):
-        p = ys.shape[m]
+        f = series_flatten(ys, m)
+        p = f.shape[1]
         # one (K, p, p) set; a grid's matrices go in (i, j) order, j fastest
-        mats = np.concatenate([np.reshape(lag_matrices(ys, m, tau), (-1, p, p)) for tau in lags])
+        mats = np.concatenate([np.reshape(lag_matrices(f, tau), (-1, p, p)) for tau in lags])
         res = joint_diagonalize(mats)
         rotations.append(res.rotation)
         gammas.append(res.rotation.T @ w)
         diag_info.append({"objective": res.objective, "sweeps_used": res.sweeps_used,
                           "converged": res.converged})
-        recovered = series_mode_product(recovered, res.rotation.T, m)
     return UnmixingResult(
         mode_unmixers=gammas,
         rotations=rotations,
         mean=mean,
-        recovered=recovered,
+        recovered=series_multilinear_product(ys, [u.T for u in rotations]),
         diagnostics={"joint_diag": diag_info},
     )
 
@@ -179,8 +175,5 @@ def apply_unmixing(xs: np.ndarray, result: UnmixingResult) -> np.ndarray:
         raise ValueError(
             f"frame shape {xs.shape[1:]} does not match fitted shape {result.mean.shape}"
         )
-    out = xs - result.mean
-    for m, gamma in enumerate(result.mode_unmixers, start=1):
-        out = series_mode_product(out, gamma, m)
-    return out
+    return series_multilinear_product(xs - result.mean, result.mode_unmixers)
 

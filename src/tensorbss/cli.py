@@ -58,14 +58,24 @@ def read_matrices(path) -> list:
                 raise ValueError(f"{path}: matrix block {k} of {count} has no "
                                  f"'rows=... cols=...' header line, got {line.strip()!r}")
             rows, cols = int(meta["rows"]), int(meta["cols"])
-            block = [np.fromstring(fh.readline(), sep=" ") for _ in range(rows)]
-            if rows < 1 or any(r.shape != (cols,) for r in block):
+            try:
+                block = np.array([fh.readline().split() for _ in range(rows)], dtype=float)
+            except ValueError:  # a value that is not a number, or rows of unequal length
+                block = None
+            if rows < 1 or block is None or block.shape != (rows, cols):
                 raise ValueError(f"{path}: matrix block {k} of {count} is not {rows}x{cols}")
-            mats.append(np.array(block))
+            mats.append(block)
     return mats
 
 
+def _component_text(idx) -> str:
+    """A component's 1-based multi-index as the commands print it: `2`, `1x2x1`."""
+    return "x".join(str(i) for i in idx)
+
+
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed: expected a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     dims = _parse_ints("--dims", args.dims)
     zs = gen_latent_setting(args.setting, args.T, rng, dims=dims)
@@ -117,7 +127,7 @@ def cmd_evaluate(args) -> int:
     recovered = read_series(args.recovered)
     targets = series_components(read_series(args.targets)).T
     for k, (corr, idx) in enumerate(max_abs_correlations(recovered, targets), start=1):
-        print(f"target {k}: max_abs_corr={corr:.6g} component={idx}")
+        print(f"target {k}: max_abs_corr={corr:.6g} component={_component_text(idx)}")
     return 0
 
 
@@ -125,11 +135,13 @@ def cmd_rank(args) -> int:
     recovered = read_series(args.input)
     print("rank,component,excess_kurtosis")
     for pos, (kurt, idx) in enumerate(kurtosis_rank(recovered), start=1):
-        print(f"{pos},{'x'.join(str(i) for i in idx)},{kurt:.6g}")
+        print(f"{pos},{_component_text(idx)},{kurt:.6g}")
     return 0
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs: expected an integer >= 1, got {args.jobs}")
     spec = parse_experiment_spec(args.spec)
     out = args.out or spec.out
 

@@ -106,10 +106,8 @@ def kurtosis_rank(recovered: np.ndarray) -> list:
 
 def _components(recovered: np.ndarray) -> tuple:
     """The (T, k) components, frame dims and mask of constant (min == max) ones."""
-    comps = np.asarray(recovered, dtype=float)
-    dims = comps.shape[1:]
-    if comps.ndim > 2:
-        comps = series_components(comps)
+    dims = np.shape(recovered)[1:]
+    comps = series_components(recovered)
     constant = comps.min(axis=0) == comps.max(axis=0)
     if constant.any():
         warnings.warn(f"skipping {int(constant.sum())} constant component(s)")

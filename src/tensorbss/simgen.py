@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .tensor import series_mode_product, unvectorize
+from .tensor import series_from_components, series_multilinear_product
 
 __all__ = [
     "ArmaSpec",
@@ -218,11 +218,13 @@ def gen_latent_setting(setting: str, t: int, rng: np.random.Generator,
         raise ValueError(f"unknown setting {setting!r}; expected one of {sorted(SETTINGS)}")
     specs = SETTINGS[setting]()
     dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"dims {dims}: every size must be >= 1")
     if int(np.prod(dims)) != len(specs):
         raise ValueError(f"dims {dims} hold {int(np.prod(dims))} cells, "
                          f"setting defines {len(specs)} component models")
     comps = np.column_stack([_gen_component(s, t, rng) for s in specs])
-    return np.ascontiguousarray(np.moveaxis(unvectorize(comps.T, dims + (t,)), -1, 0))
+    return series_from_components(comps, dims)
 
 
 def gen_mixing(dims, kind: str, rng: np.random.Generator) -> list:
@@ -252,9 +254,6 @@ def gen_mixing(dims, kind: str, rng: np.random.Generator) -> list:
 
 def mix(zs: np.ndarray, mats) -> np.ndarray:
     """Apply the chained mode products Z x_1 A_1 ... x_r A_r frame-wise."""
-    out = np.asarray(zs, dtype=float)
-    if len(mats) != out.ndim - 1:
-        raise ValueError(f"got {len(mats)} mixing matrices for order-{out.ndim - 1} series")
-    for m, a in enumerate(mats, start=1):
-        out = series_mode_product(out, a, m)
-    return out
+    if len(mats) != np.ndim(zs) - 1:
+        raise ValueError(f"got {len(mats)} mixing matrices for order-{np.ndim(zs) - 1} series")
+    return series_multilinear_product(zs, mats)

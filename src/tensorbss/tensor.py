@@ -14,9 +14,9 @@ Conventions used throughout the package:
 * The m-flattening collects the m-mode vectors as columns, the column
   index enumerating the remaining indices with the smallest-numbered
   remaining mode varying fastest.
-* :func:`m_flatten`, :func:`mode_product` and :func:`vectorize` are the
-  T = 1 cases of :func:`series_flatten`, :func:`series_mode_product` and
-  :func:`series_components`.
+* :func:`m_flatten`, :func:`mode_product`, :func:`vectorize` and :func:`unvectorize`
+  are the T = 1 cases of :func:`series_flatten`, :func:`series_mode_product`,
+  :func:`series_components` and :func:`series_from_components`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ __all__ = [
     "series_flatten",
     "series_mode_product",
     "series_components",
+    "series_from_components",
+    "series_multilinear_product",
     "write_series",
     "read_series",
 ]
@@ -50,17 +52,14 @@ def m_flatten(x: np.ndarray, mode: int) -> np.ndarray:
 
 def m_unflatten(mat: np.ndarray, mode: int, dims) -> np.ndarray:
     """Inverse of :func:`m_flatten` for the given dimension vector."""
-    mat = np.asarray(mat, dtype=float)
     dims = tuple(int(d) for d in dims)
     ax = _check_mode(mode, len(dims))
     rest = dims[:ax] + dims[ax + 1:]
-    rho = int(np.prod(rest)) if rest else 1
-    if mat.shape != (dims[ax], rho):
+    if np.shape(mat) != (dims[ax], int(np.prod(rest))):
         raise ValueError(
-            f"matrix shape {mat.shape} inconsistent with dims {dims}, mode {mode}"
+            f"matrix shape {np.shape(mat)} inconsistent with dims {dims}, mode {mode}"
         )
-    xt = mat.reshape((dims[ax],) + rest, order="F")
-    return np.moveaxis(xt, 0, ax)
+    return np.moveaxis(series_from_components(mat, rest), 0, ax)
 
 
 def mode_product(x: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
@@ -75,11 +74,7 @@ def vectorize(x: np.ndarray) -> np.ndarray:
 
 def unvectorize(v: np.ndarray, dims) -> np.ndarray:
     """Inverse of :func:`vectorize`."""
-    dims = tuple(int(d) for d in dims)
-    v = np.asarray(v, dtype=float)
-    if v.size != int(np.prod(dims)):
-        raise ValueError(f"vector of length {v.size} cannot fill dims {dims}")
-    return v.reshape(dims, order="F")
+    return series_from_components(np.reshape(v, (1, -1)), dims)[0]
 
 
 def series_flatten(xs: np.ndarray, mode: int) -> np.ndarray:
@@ -119,6 +114,23 @@ def series_components(xs: np.ndarray) -> np.ndarray:
     return xs.transpose((0,) + rest).reshape(t, -1)
 
 
+def series_from_components(flat: np.ndarray, dims) -> np.ndarray:
+    """Inverse of :func:`series_components`; returns a C-contiguous (T, *dims) series."""
+    flat = np.asarray(flat, dtype=float)
+    dims = tuple(int(d) for d in dims)
+    if flat.ndim != 2 or flat.shape[1] != int(np.prod(dims)):
+        raise ValueError(f"component matrix of shape {flat.shape} cannot fill dims {dims}")
+    xt = flat.reshape(flat.shape[:1] + dims[::-1])
+    return np.ascontiguousarray(xt.transpose(0, *range(len(dims), 0, -1)))
+
+
+def series_multilinear_product(xs: np.ndarray, mats) -> np.ndarray:
+    """The chained mode products X x_1 A_1 ... x_k A_k of every frame, A_m = mats[m-1]."""
+    for m, a in enumerate(mats, start=1):
+        xs = series_mode_product(xs, a, m)
+    return xs
+
+
 def write_series(path, xs: np.ndarray) -> None:
     """Write a tensor series in the plain-text format.
 
@@ -150,4 +162,4 @@ def read_series(path) -> np.ndarray:
         raise ValueError(
             f"series body shape {flat.shape} does not match header dims={dims}, T={t}"
         )
-    return np.ascontiguousarray(np.moveaxis(unvectorize(flat.T, dims + (t,)), -1, 0))
+    return series_from_components(flat, dims)

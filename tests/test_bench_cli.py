@@ -121,6 +121,25 @@ class TestSpecParsing:
             parse_experiment_spec(write_spec(tmp_path, spec))
 
 
+    @pytest.mark.parametrize("line,text,want", [
+        ("seed    = 7", "seed = -1", "seed: expected a non-negative integer, got -1"),
+        ("dims    = 3,2,2", "dims = -3,-2,2", "dims: expected sizes >= 1, got (-3, -2, 2)"),
+    ], ids=["seed", "dims"])
+    def test_unrunnable_value_names_its_key(self, tmp_path, capsys, line, text, want):
+        path = write_spec(tmp_path, SPEC_TEXT.replace(line, text))
+        with pytest.raises(ValueError) as exc:
+            parse_experiment_spec(path)
+        assert str(exc.value) == want
+        assert main(["bench", "--spec", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = write_spec(tmp_path, SPEC_TEXT + "reps = 1\n")
+        with pytest.raises(ValueError) as exc:
+            parse_experiment_spec(path)
+        assert str(exc.value) == f"{path}:11: key 'reps' is already set on line 8"
+
+
 class TestRunBenchmark:
     def test_manifest_determinism_and_shape(self, tmp_path):
         spec = parse_experiment_spec(write_spec(tmp_path))
@@ -147,6 +166,14 @@ class TestRunBenchmark:
         parallel = run_benchmark(spec, jobs=2)
         assert serial["replicates"] == parallel["replicates"]
         assert serial["aggregates"] == parallel["aggregates"]
+
+    def test_jobs_below_one_rejected(self, tmp_path, capsys):
+        spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(200,))
+        with pytest.raises(ValueError, match="^jobs: expected an integer >= 1, got 0$"):
+            run_benchmark(spec, jobs=0)
+        path = write_spec(tmp_path)
+        assert main(["bench", "--spec", str(path), "--jobs", "0"]) == 1
+        assert capsys.readouterr().err == "error: --jobs: expected an integer >= 1, got 0\n"
 
     def test_progress_reported_with_jobs(self):
         spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
@@ -222,6 +249,16 @@ class TestCliSimulate:
                      "--T", "100", "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err == "error: --dims: expected comma-separated integers, got '3,x'\n"
+
+    @pytest.mark.parametrize("flag,want", [
+        ("--seed=-1", "--seed: expected a non-negative integer, got -1"),
+        ("--dims=-3,-2,2", "dims (-3, -2, 2): every size must be >= 1"),
+    ], ids=["seed", "dims"])
+    def test_unrunnable_value_is_usage_error(self, tmp_path, capsys, flag, want):
+        assert main(["simulate", "--setting", "arma", "--mixing", "haar", flag,
+                     "--T", "100", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestCliUnmix:
@@ -363,8 +400,20 @@ class TestCliEvaluate:
         assert main(["evaluate", "--recovered", str(tmp_path / "rec.ts"),
                      "--targets", str(tmp_path / "targets.ts")]) == 0
         captured = capsys.readouterr()
-        assert captured.out.strip().split("\n")[1] == "target 2: max_abs_corr=1 component=(2,)"
+        assert captured.out.strip().split("\n")[1] == "target 2: max_abs_corr=1 component=2"
         assert captured.err == "warning: skipping 1 constant component(s)\n"
+
+    def test_component_index_printed_as_rank_prints_it(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        rec = rng.standard_normal((300, 2, 3))
+        rec[::50, 1, 2] += 20.0  # spikes: the largest excess kurtosis
+        write_series(tmp_path / "rec.ts", rec)
+        write_series(tmp_path / "targets.ts", rec[:, 1, 2:])
+        assert main(["evaluate", "--recovered", str(tmp_path / "rec.ts"),
+                     "--targets", str(tmp_path / "targets.ts")]) == 0
+        assert capsys.readouterr().out == "target 1: max_abs_corr=1 component=2x3\n"
+        assert main(["rank", "--in", str(tmp_path / "rec.ts")]) == 0
+        assert capsys.readouterr().out.split("\n")[1].startswith("1,2x3,")
 
     def test_both_or_neither_mode_is_usage_error(self, capsys):
         assert main(["evaluate"]) == 1
@@ -482,3 +531,9 @@ class TestMatrixFileFormat:
         assert main(["evaluate", "--unmixers", str(path), "--mixing", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and "matrix block" in err
+
+    def test_row_with_a_non_number_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("matrices=1\nmode=1 rows=2 cols=2\n1 0\n0 x\n")
+        assert main(["evaluate", "--unmixers", str(path), "--mixing", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: matrix block 1 of 1 is not 2x2\n"

@@ -10,7 +10,7 @@ from tensorbss.bss import (
     unmix,
     whiten,
 )
-from tensorbss import moments
+from tensorbss import bss, moments, tensor
 from tensorbss.bench import ExperimentSpec, _replicate_rng
 from tensorbss.cli import main
 from tensorbss.linalg import RankDeficiencyError
@@ -221,6 +221,30 @@ class TestMethodTable:
             assert type(default) is tuple
             assert method_lags(name, default) == default == method_lags(name)
         assert sum(tensor_path for _, tensor_path, _ in METHOD_NAMES.values()) == 5
+
+    @pytest.mark.parametrize("method", sorted(METHOD_NAMES))
+    def test_fit_lays_out_each_mode_once(self, monkeypatch, method):
+        # unmix flattens each whitened mode once; every moment call then
+        # receives that flattening at mode 1 and takes a view of it
+        calls = []
+
+        def recorder(where):
+            def flatten(xs, mode):
+                f = tensor.series_flatten(xs, mode)
+                calls.append((where, mode, not np.shares_memory(f, xs)))
+                return f
+            return flatten
+
+        monkeypatch.setattr(bss, "series_flatten", recorder("fit"), raising=False)
+        monkeypatch.setattr(moments, "series_flatten", recorder("moments"))
+        xs = np.random.default_rng(12).standard_normal((300, 3, 2, 2))
+        unmix(xs, method)
+        tensor_path = METHOD_NAMES[method][1]
+        modes = [1, 2, 3] if tensor_path else [1]
+        assert [mode for where, mode, _ in calls if where == "fit"] == modes
+        # only the fit's flattening of a tensor mode copies; that of a (T, p)
+        # series is a view
+        assert [mode for _, mode, copied in calls if copied] == (modes if tensor_path else [])
 
     def test_mixed_case_name_rejected_everywhere(self, tmp_path, capsys):
         xs = np.random.default_rng(53).standard_normal((300, 3, 2, 2))

@@ -3,7 +3,7 @@ import pytest
 
 from tensorbss import moments
 from tensorbss.simgen import ArmaSpec, gen_arma
-from tensorbss.tensor import series_mode_product
+from tensorbss.tensor import series_flatten, series_mode_product
 
 import oracles
 
@@ -300,6 +300,22 @@ class TestStructuralInvariants:
             diff = mode_grid[i - 1, j - 1] - vector_grid[i - 1, j - 1]
             want = (1.0 if i == j else 0.0) * np.eye(4) - s0 @ s0.T
             assert np.allclose(diff, want, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(5,), (4, 3), (3, 2, 2)])
+    def test_mode_functional_is_mode_one_functional_of_the_flattening(self, dims):
+        # the fit flattens each mode once and computes that mode's set at mode 1
+        xs = np.random.default_rng(31).standard_normal((40,) + dims)
+        for m in range(1, len(dims) + 1):
+            f = series_flatten(xs, m)
+            for tau in (0, 2):
+                for fn in (moments.mode_autocov, moments.mode_b_tau, moments.mode_c_grid):
+                    assert np.array_equal(fn(xs, m, tau), fn(f, 1, tau))
+                taus = (tau, 0, tau, 1)
+                assert np.array_equal(moments.mode_b_lags_grid(xs, m, taus),
+                                      moments.mode_b_lags_grid(f, 1, taus))
+        if len(dims) == 1:
+            assert np.array_equal(moments.c_tau_grid(xs, 2),
+                                  moments.c_tau_grid(series_flatten(xs, 1), 2))
 
     def test_flattening_order_invariance(self):
         # mode functionals only see Gram-type products of the flattening,

@@ -140,6 +140,11 @@ class TestSettings:
         with pytest.raises(ValueError):
             gen_latent_setting("arma", 100, rng, dims=(3, 3))
 
+    def test_negative_sizes_rejected(self):
+        # twelve cells, as the setting needs, but no size may be below 1
+        with pytest.raises(ValueError, match=r"^dims \(-3, -2, 2\): every size must be >= 1$"):
+            gen_latent_setting("arma", 100, np.random.default_rng(11), dims=(-3, -2, 2))
+
 
 class TestMixing:
     def test_haar_matrices_are_orthogonal(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from tensorbss.tensor import (
     read_series,
     series_components,
     series_flatten,
+    series_from_components,
     series_mode_product,
     unvectorize,
     vectorize,
@@ -127,6 +130,20 @@ def test_series_helpers_match_per_frame():
     comps = series_components(xs)
     for t in range(7):
         assert np.array_equal(comps[t], vectorize(xs[t]))
+
+
+@pytest.mark.parametrize("dims", [(4,), (3, 2), (3, 1, 4), (2, 3, 2, 2)])
+def test_series_components_inverse_round_trip(dims):
+    xs = np.random.default_rng(len(dims)).standard_normal((5,) + dims)
+    flat = series_components(xs)
+    back = series_from_components(flat, dims)
+    assert back.flags.c_contiguous and back.shape == xs.shape
+    assert np.array_equal(back, xs)
+    assert np.array_equal(series_components(back), flat)
+    for t in range(5):
+        assert np.array_equal(unvectorize(flat[t], dims), xs[t])
+    with pytest.raises(ValueError, match=re.escape(f"shape (5, 7) cannot fill dims {dims}")):
+        series_from_components(np.zeros((5, 7)), dims)
 
 
 @settings(max_examples=30, deadline=None)
