@@ -153,7 +153,8 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
         rotations.append(res.rotation)
         gammas.append(res.rotation.T @ w)
         diag_info.append({"objective": res.objective, "sweeps_used": res.sweeps_used,
-                          "converged": res.converged})
+                          "converged": res.converged, "matrices": len(mats),
+                          "matrices_diagonalized": res.matrices_diagonalized})
     return UnmixingResult(
         mode_unmixers=gammas,
         rotations=rotations,

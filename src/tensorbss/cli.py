@@ -57,6 +57,9 @@ def read_matrices(path) -> list:
             if "rows" not in meta or "cols" not in meta:
                 raise ValueError(f"{path}: matrix block {k} of {count} has no "
                                  f"'rows=... cols=...' header line, got {line.strip()!r}")
+            if not (meta["rows"].isdecimal() and meta["cols"].isdecimal()):
+                raise ValueError(f"{path}: matrix block {k} of {count} has a malformed "
+                                 f"header {line.strip()!r}, expected integer rows and cols")
             rows, cols = int(meta["rows"]), int(meta["cols"])
             try:
                 block = np.array([fh.readline().split() for _ in range(rows)], dtype=float)
@@ -76,6 +79,8 @@ def _component_text(idx) -> str:
 def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed: expected a non-negative integer, got {args.seed}")
+    if args.T < 1:
+        raise ValueError(f"--T: expected a positive integer, got {args.T}")
     rng = np.random.default_rng(args.seed)
     dims = _parse_ints("--dims", args.dims)
     zs = gen_latent_setting(args.setting, args.T, rng, dims=dims)

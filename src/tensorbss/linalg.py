@@ -26,6 +26,7 @@ class JointDiagResult:
     objective: float
     sweeps_used: int
     converged: bool
+    matrices_diagonalized: int  # the set's size after compression (see joint_diagonalize)
     objective_trace: list = field(default_factory=list)
 
 
@@ -39,6 +40,15 @@ def joint_diagonalize(ms) -> JointDiagResult:
     whose angles all lie within `TOL` ends the search; after `MAX_SWEEPS`
     sweeps it stops, not converged.
 
+    The angles and the objective see the set only through
+    G = sum_k vec(S_k) vec(S_k)^T, of rank at most p(p+1)/2.  So when K
+    exceeds p(p+1)/2 (and p >= 2), the K matrices are replaced by the
+    sqrt(lambda_i) reshape(v_i, p, p) of G's top p(p+1)/2 eigenpairs, which
+    have the same G and so the same Jacobi trajectory in exact arithmetic: the
+    eigenmatrix reduction of JADE (Cardoso & Souloumiac 1993), over all
+    nonzero eigenmatrices.  `objective` and `objective_trace` are taken on the
+    set that is rotated.
+
     The columns of the returned rotation are ordered by descending diagonal
     of U^T M_1 U and signed so that each column's largest-magnitude entry
     is positive.
@@ -51,6 +61,21 @@ def joint_diagonalize(ms) -> JointDiagResult:
     if not np.isfinite(a).all():
         raise FloatingPointError("matrix set is not finite")
     k, p = a.shape[:2]
+    n = p * (p + 1) // 2
+    if p >= 2 and k > n:
+        # G from the Gram H = F^T F of the raw (K, p^2) view F: G = P H P with
+        # P = (I + T) / 2 the projection onto vec of symmetric matrices, T the
+        # transposition of (r, c); the directions beyond p(p+1)/2 are
+        # antisymmetric, with zero weight
+        f = a.reshape(k, p * p)
+        g = (f.T @ f).reshape(p, p, p, p)
+        g = g + g.transpose(1, 0, 2, 3)
+        g += g.transpose(0, 1, 3, 2)
+        g *= 0.25
+        lam, v = np.linalg.eigh(g.reshape(p * p, p * p))
+        lam, v = lam[:-n - 1:-1], v[:, :-n - 1:-1]  # top n, largest first
+        a = (v * np.sqrt(np.maximum(lam, 0.0))).T.reshape(n, p, p)
+        k = n
     # symmetrized into a (p, K, p) layout, a[r, k, c] = S_k[r, c]: rows i and j of
     # all K matrices are one contiguous run each, columns i and j one stride-p run
     a = np.add(a.transpose(1, 0, 2), a.transpose(2, 0, 1), out=np.empty((p, k, p)))
@@ -97,6 +122,7 @@ def joint_diagonalize(ms) -> JointDiagResult:
         objective=trace[-1],
         sweeps_used=sweeps,
         converged=converged,
+        matrices_diagonalized=k,
         objective_trace=trace,
     )
 

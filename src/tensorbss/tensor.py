@@ -157,7 +157,10 @@ def read_series(path) -> np.ndarray:
             raise ValueError(f"malformed series header: {header!r}") from exc
         if t < 1 or min(dims) < 1:
             raise ValueError(f"series header {header!r} needs T >= 1 and every dim >= 1")
-        flat = np.loadtxt(fh, ndmin=2)
+        try:
+            flat = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:  # a body value that is not a number
+            raise ValueError(f"{path}: {exc}") from exc
     if flat.shape != (t, int(np.prod(dims))):
         raise ValueError(
             f"series body shape {flat.shape} does not match header dims={dims}, T={t}"

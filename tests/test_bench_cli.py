@@ -253,10 +253,13 @@ class TestCliSimulate:
     @pytest.mark.parametrize("flag,want", [
         ("--seed=-1", "--seed: expected a non-negative integer, got -1"),
         ("--dims=-3,-2,2", "dims (-3, -2, 2): every size must be >= 1"),
-    ], ids=["seed", "dims"])
+        ("--T=0", "--T: expected a positive integer, got 0"),
+        ("--T=-5", "--T: expected a positive integer, got -5"),
+    ], ids=["seed", "dims", "T", "negative-T"])
     def test_unrunnable_value_is_usage_error(self, tmp_path, capsys, flag, want):
-        assert main(["simulate", "--setting", "arma", "--mixing", "haar", flag,
-                     "--T", "100", "--out", str(tmp_path / "o")]) == 1
+        # the flag follows --T 100, so a --T flag overrides it
+        assert main(["simulate", "--setting", "arma", "--mixing", "haar",
+                     "--T", "100", flag, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {want}\n"
         assert not (tmp_path / "o").exists()
 
@@ -276,6 +279,8 @@ class TestCliUnmix:
         diag = json.loads((fit / "diagnostics.json").read_text())
         assert len(diag["diagnostics"]["joint_diag"]) == 3
         assert all(d["converged"] for d in diag["diagnostics"]["joint_diag"])
+        assert [(d["matrices"], d["matrices_diagonalized"])
+                for d in diag["diagnostics"]["joint_diag"]] == [(12, 6), (12, 3), (12, 3)]
 
     def test_explicit_lag_zero_matches_alias_method(self, tmp_path, capsys):
         sim = tmp_path / "sim"
@@ -449,6 +454,13 @@ class TestCliRankAndBench:
         assert err == f"error: series header '{header}' needs T >= 1 and every dim >= 1\n"
         assert "UserWarning" not in err
 
+    def test_series_value_that_is_not_a_number_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "s.ts"
+        path.write_text("dims=2;T=3\n1 2\n3 x\n5 6\n")
+        assert main(["rank", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: could not convert string 'x'")
+
     def test_bench_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(
@@ -531,6 +543,15 @@ class TestMatrixFileFormat:
         assert main(["evaluate", "--unmixers", str(path), "--mixing", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and "matrix block" in err
+
+    @pytest.mark.parametrize("header", ["mode=1 rows=x cols=2", "mode=1 rows=2 cols=-2"])
+    def test_non_integer_block_size_is_usage_error(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"matrices=1\n{header}\n1 0\n0 1\n")
+        assert main(["evaluate", "--unmixers", str(path), "--mixing", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: matrix block 1 of 1 has a malformed header {header!r}, "
+            f"expected integer rows and cols\n")
 
     def test_row_with_a_non_number_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -246,6 +246,16 @@ class TestMethodTable:
         # series is a view
         assert [mode for _, mode, copied in calls if copied] == (modes if tensor_path else [])
 
+    @pytest.mark.parametrize("method,counts", [
+        ("gjade", [(1872, 78)]),  # 13 lags x 144 matrices of size 12x12
+        ("sobi", [(12, 12)]),  # 12 lags, fewer than 12 * 13 / 2
+        ("tsobi", [(12, 6), (12, 3), (12, 3)]),  # modes of size 3, 2, 2
+    ])
+    def test_diagnostics_count_the_matrices_diagonalized(self, method, counts):
+        xs = np.random.default_rng(13).standard_normal((300, 3, 2, 2))
+        info = unmix(xs, method).diagnostics["joint_diag"]
+        assert [(d["matrices"], d["matrices_diagonalized"]) for d in info] == counts
+
     def test_mixed_case_name_rejected_everywhere(self, tmp_path, capsys):
         xs = np.random.default_rng(53).standard_normal((300, 3, 2, 2))
         with pytest.raises(ValueError, match="unknown method 'TSOBI'"):

@@ -134,12 +134,45 @@ class TestJointDiagonalize:
         u, sweeps, converged = naive_jacobi(ms, linalg.TOL, linalg.MAX_SWEEPS)
         assert (res.sweeps_used, res.converged) == (sweeps, converged)
         assert np.abs(res.rotation - u).max() < 1e-12
+        assert res.matrices_diagonalized == min(k, p * (p + 1) // 2)
+
+    def test_compressed_set_follows_the_textbook_trajectory(self):
+        # K = 832 matrices of size 8x8, far above p(p+1)/2 = 36: a planted
+        # rotation plus noise, diagonalized as 36 matrices
+        p, k = 8, 832
+        r = np.random.default_rng(11)
+        q = random_orthogonal(p, r)
+        ms = q @ (r.standard_normal((k, p))[:, :, None] * np.eye(p)) @ q.T
+        ms += 0.05 * r.standard_normal((k, p, p))
+        res = joint_diagonalize(ms)
+        u, sweeps, converged = naive_jacobi(ms, linalg.TOL, linalg.MAX_SWEEPS)
+        assert res.matrices_diagonalized == 36
+        assert converged and (res.sweeps_used, res.converged) == (sweeps, converged)
+        assert np.abs(res.rotation - u).max() < 1e-12
+        assert np.isclose(res.objective, diag_objective(0.5 * (ms + ms.transpose(0, 2, 1)), u),
+                          rtol=1e-12)
+
+    def test_compressed_set_ordered_by_the_first_input_matrix(self):
+        # the order/sign convention reads the first matrix of the input set,
+        # not of the p(p+1)/2 = 136 matrices that are rotated
+        p, k = 16, 150
+        r = np.random.default_rng(16)
+        q = random_orthogonal(p, r)
+        ms = q @ (r.standard_normal((k, p))[:, :, None] * np.eye(p)) @ q.T
+        ms += 1e-3 * r.standard_normal((k, p, p))
+        res = joint_diagonalize(ms)
+        assert res.matrices_diagonalized == 136
+        u = res.rotation
+        d1 = np.diag(u.T @ (0.5 * (ms[0] + ms[0].T)) @ u)
+        assert np.all(np.diff(d1) < 0)
+        assert np.all(u[np.argmax(np.abs(u), axis=0), np.arange(p)] > 0)
 
     def test_one_by_one_set_is_identity(self):
         res = joint_diagonalize(np.array([[[2.0]], [[-3.0]]]))
         assert np.array_equal(res.rotation, np.eye(1))
         assert (res.sweeps_used, res.converged) == (0, True)
         assert res.objective == 13.0
+        assert res.matrices_diagonalized == 2
 
     def test_non_convergence_flagged_not_fatal(self, monkeypatch):
         ms = rng.standard_normal((5, 6, 6))
