@@ -15,6 +15,7 @@ diagonalizes each mode, and forms Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -34,15 +35,16 @@ __all__ = [
 DEFAULT_SOBI_LAGS = tuple(range(1, 13))
 DEFAULT_G_LAGS = tuple(range(0, 13))
 
-# The matrix, or (p, p, p, p) grid, that lag tau contributes on a mode, from
-# its flattening f (mode 1 of f is that mode); the lambdas look the functions
-# up at call time, so a wrapper set on `moments` sees every call.
-_SOBI = lambda f, tau: moments.mode_autocov(f, 1, tau)  # noqa: E731
-_GFOBI = lambda f, tau: moments.mode_b_tau(f, 1, tau)  # noqa: E731
-_GJADE = lambda f, tau: moments.mode_c_grid(f, 1, tau)  # noqa: E731
-_VECTOR_GJADE = lambda f, tau: moments.c_tau_grid(f, tau)  # noqa: E731
+# The (K, p, p) matrix set of a mode for a lag set, from its flattening f
+# (mode 1 of f is that mode): lag first, and a grid's matrices in (i, j)
+# order, j fastest.  The lambdas look the functions up at call time, so a
+# wrapper set on `moments` sees every call.
+_SOBI = lambda f, lags: np.stack([moments.mode_autocov(f, 1, tau) for tau in lags])  # noqa: E731
+_GFOBI = lambda f, lags: np.stack([moments.mode_b_tau(f, 1, tau) for tau in lags])  # noqa: E731
+_GJADE = lambda f, lags: moments.mode_c_grids(f, 1, lags)  # noqa: E731
+_VECTOR_GJADE = lambda f, lags: moments.c_grids(f, lags)  # noqa: E731
 
-# method name -> (lag matrices, tensor path?, default lags)
+# method name -> (matrix set of a mode, tensor path?, default lags)
 METHOD_NAMES = {
     "sobi": (_SOBI, False, DEFAULT_SOBI_LAGS),
     "gfobi": (_GFOBI, False, DEFAULT_G_LAGS),
@@ -129,9 +131,11 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
     Centers, standardizes every mode (`whiten`), jointly diagonalizes each
     mode's lag matrices (`joint_diagonalize`) and assembles Gamma^m = U_m^T W_m.
     Vector methods applied to tensor input operate on the vectorized frames.
+    `diagnostics["stage_s"]` holds the seconds spent in each stage (`whiten`,
+    `moments`, `joint_diag`, `assemble`), summed over modes.
     """
     lags = method_lags(method, lags)
-    lag_matrices, tensor_path, _ = METHOD_NAMES[method]
+    mode_set, tensor_path, _ = METHOD_NAMES[method]
     xs = np.asarray(xs, dtype=float)
     if xs.ndim < 2:
         raise ValueError("expected a series of shape (T, p_1, ..., p_r)")
@@ -141,26 +145,36 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
         raise ValueError("series shorter than the largest lag")
     if not np.isfinite(xs).all():
         raise ValueError("series contains NaN or infinite values")
+    stage_s = dict.fromkeys(("whiten", "moments", "joint_diag", "assemble"), 0.0)
+    t0 = perf_counter()
     mean = xs.mean(axis=0)
     ys, whiteners = whiten(xs - mean)
+    t1 = perf_counter()
+    stage_s["whiten"] = t1 - t0
     rotations, gammas, diag_info = [], [], []
     for m, w in enumerate(whiteners, start=1):
-        f = series_flatten(ys, m)
-        p = f.shape[1]
-        # one (K, p, p) set; a grid's matrices go in (i, j) order, j fastest
-        mats = np.concatenate([np.reshape(lag_matrices(f, tau), (-1, p, p)) for tau in lags])
+        mats = mode_set(series_flatten(ys, m), lags)
+        t2 = perf_counter()
         res = joint_diagonalize(mats)
+        t3 = perf_counter()
         rotations.append(res.rotation)
         gammas.append(res.rotation.T @ w)
         diag_info.append({"objective": res.objective, "sweeps_used": res.sweeps_used,
                           "converged": res.converged, "matrices": len(mats),
                           "matrices_diagonalized": res.matrices_diagonalized})
+        t4 = perf_counter()
+        stage_s["moments"] += t2 - t1
+        stage_s["joint_diag"] += t3 - t2
+        stage_s["assemble"] += t4 - t3
+        t1 = t4
+    recovered = series_multilinear_product(ys, [u.T for u in rotations])
+    stage_s["assemble"] += perf_counter() - t1
     return UnmixingResult(
         mode_unmixers=gammas,
         rotations=rotations,
         mean=mean,
-        recovered=series_multilinear_product(ys, [u.T for u in rotations]),
-        diagnostics={"joint_diag": diag_info},
+        recovered=recovered,
+        diagnostics={"joint_diag": diag_info, "stage_s": stage_s},
     )
 
 

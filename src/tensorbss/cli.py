@@ -116,6 +116,10 @@ def cmd_unmix(args) -> int:
 def cmd_evaluate(args) -> int:
     if bool(args.mixing) == bool(args.targets):
         raise ValueError("evaluate needs exactly one of --mixing or --targets")
+    if args.mixing and not args.unmixers:
+        raise ValueError("evaluate --mixing needs --unmixers")
+    if args.targets and not args.recovered:
+        raise ValueError("evaluate --targets needs --recovered")
     if args.mixing:
         gammas = read_matrices(args.unmixers)
         mats = read_matrices(args.mixing)

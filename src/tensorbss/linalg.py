@@ -3,6 +3,7 @@ numerically rank-deficient mode (the whitening itself is `bss.whiten`)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,11 @@ def joint_diagonalize(ms) -> JointDiagResult:
     a *= 0.5
     u = np.eye(p)
     fa, fu = a.reshape(-1), u.reshape(-1)  # flat views that `drot` rotates in place
+    # per pair (i, j): the K-length runs S_k[i, i], S_k[j, j], S_k[i, j],
+    # S_k[j, i], and the offsets of rows i and j in `fa`; `drot` writes in
+    # place, so the views stay current
+    pairs = [(i, j, a[i, :, i], a[j, :, j], a[i, :, j], a[j, :, i], i * k * p, j * k * p)
+             for i in range(p - 1) for j in range(i + 1, p)]
     trace = [_diag_mass(a)]
     sweeps = 0
     converged = p < 2
@@ -89,26 +95,24 @@ def joint_diagonalize(ms) -> JointDiagResult:
         if converged:
             break
         sweeps = sweep + 1
-        max_angle = 0.0
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                d = a[i, :, i] - a[j, :, j]
-                o = a[i, :, j] + a[j, :, i]
-                ton = d @ d - o @ o
-                toff = 2.0 * (d @ o)
-                theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
-                max_angle = max(max_angle, abs(theta))
-                if abs(theta) <= TOL:
-                    continue
-                c, s = np.cos(theta), np.sin(theta)
-                # x_i <- c x_i + s x_j, x_j <- c x_j - s x_i (args n, offx, incx, offy, incy):
-                # the set's columns i and j, then its rows i and j, then U's columns
-                drot(fa, fa, c, s, p * k, i, p, j, p, 1, 1)
-                drot(fa, fa, c, s, p * k, i * k * p, 1, j * k * p, 1, 1, 1)
-                drot(fu, fu, c, s, p, i, p, j, p, 1, 1)
+        rotated = False
+        for i, j, aii, ajj, aij, aji, row_i, row_j in pairs:
+            d = aii - ajj
+            o = aij + aji
+            ton = np.dot(d, d) - np.dot(o, o)
+            toff = 2.0 * np.dot(d, o)
+            theta = 0.5 * float(np.arctan2(toff, ton + np.hypot(ton, toff)))
+            if abs(theta) <= TOL:
+                continue
+            rotated = True
+            c, s = math.cos(theta), math.sin(theta)
+            # x_i <- c x_i + s x_j, x_j <- c x_j - s x_i (args n, offx, incx, offy, incy):
+            # the set's columns i and j, then its rows i and j, then U's columns
+            drot(fa, fa, c, s, p * k, i, p, j, p, 1, 1)
+            drot(fa, fa, c, s, p * k, row_i, 1, row_j, 1, 1, 1)
+            drot(fu, fu, c, s, p, i, p, j, p, 1, 1)
         trace.append(_diag_mass(a))
-        if max_angle <= TOL:
-            converged = True
+        converged = not rotated
     # deterministic order/sign convention: descending diagonal of U^T M_1 U
     m0 = np.asarray(ms[0], dtype=float)
     d1 = np.diag(u.T @ (0.5 * (m0 + m0.T)) @ u)

@@ -281,6 +281,9 @@ class TestCliUnmix:
         assert all(d["converged"] for d in diag["diagnostics"]["joint_diag"])
         assert [(d["matrices"], d["matrices_diagonalized"])
                 for d in diag["diagnostics"]["joint_diag"]] == [(12, 6), (12, 3), (12, 3)]
+        stage_s = diag["diagnostics"]["stage_s"]
+        assert list(stage_s) == ["whiten", "moments", "joint_diag", "assemble"]
+        assert all(v >= 0.0 for v in stage_s.values())
 
     def test_explicit_lag_zero_matches_alias_method(self, tmp_path, capsys):
         sim = tmp_path / "sim"
@@ -422,6 +425,15 @@ class TestCliEvaluate:
 
     def test_both_or_neither_mode_is_usage_error(self, capsys):
         assert main(["evaluate"]) == 1
+
+    @pytest.mark.parametrize("given,missing", [("--mixing", "--unmixers"),
+                                               ("--targets", "--recovered")])
+    def test_missing_partner_flag_is_usage_error(self, tmp_path, capsys, given, missing):
+        # checked before any file is opened
+        assert main(["evaluate", given, str(tmp_path / "absent")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: evaluate {given} needs {missing}\n"
 
 
 class TestCliRankAndBench:

@@ -1,5 +1,8 @@
 """Unmixing pipeline tests: whitening, equivariance, consistency, collapses."""
 
+import inspect
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -215,12 +218,43 @@ class TestSpecialCases:
 class TestMethodTable:
     def test_table_shape(self):
         assert len(METHOD_NAMES) == 10
+        f = tensor.series_flatten(np.random.default_rng(14).standard_normal((50, 3)), 1)
         for name, entry in METHOD_NAMES.items():
-            lag_matrices, tensor_path, default = entry
-            assert callable(lag_matrices) and type(tensor_path) is bool
+            mode_set, tensor_path, default = entry
+            assert callable(mode_set) and type(tensor_path) is bool
+            assert list(inspect.signature(mode_set).parameters) == ["f", "lags"]
+            # one (K, p, p) set per mode: a matrix per lag, or p * p for a gjade family
+            per_lag = 9 if name.endswith("jade") else 1
+            assert mode_set(f, (1, 2)).shape == (2 * per_lag, 3, 3)
             assert type(default) is tuple
             assert method_lags(name, default) == default == method_lags(name)
         assert sum(tensor_path for _, tensor_path, _ in METHOD_NAMES.values()) == 5
+
+    @pytest.mark.parametrize("method,modes", [("gjade", 1), ("jade", 1), ("tgjade", 3),
+                                              ("tjade", 3)])
+    def test_gjade_fit_forms_q_once_per_mode(self, monkeypatch, method, modes):
+        # Q_t = X_t X_t^T is the lag product with a = b = 0; the set builders
+        # form it once for the whole lag set
+        calls = []
+        lag_products = moments._lag_products
+
+        def counted(f, a, b, n):
+            calls.append((a, b))
+            return lag_products(f, a, b, n)
+
+        monkeypatch.setattr(moments, "_lag_products", counted)
+        unmix(np.random.default_rng(15).standard_normal((300, 3, 2, 2)), method)
+        assert calls.count((0, 0)) == modes
+
+    @pytest.mark.parametrize("method", ["gjade", "tsobi", "tgjade"])
+    def test_stage_times_cover_the_fit(self, method):
+        xs = np.random.default_rng(16).standard_normal((300, 3, 2, 2))
+        t0 = perf_counter()
+        stage_s = unmix(xs, method).diagnostics["stage_s"]
+        wall = perf_counter() - t0
+        assert list(stage_s) == ["whiten", "moments", "joint_diag", "assemble"]
+        assert all(v >= 0.0 for v in stage_s.values())
+        assert sum(stage_s.values()) <= wall
 
     @pytest.mark.parametrize("method", sorted(METHOD_NAMES))
     def test_fit_lays_out_each_mode_once(self, monkeypatch, method):

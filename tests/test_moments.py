@@ -279,6 +279,69 @@ class TestModeCTauIJ:
                                    oracles.naive_mode_c_tau_ij(xs, 2, 1, i, j), atol=1e-13)
 
 
+class TestGJadeSets:
+    """c_grids and mode_c_grids, the lag-set builders the gJADE fits call."""
+
+    @staticmethod
+    def vector_grid(xs, tau):
+        # B_ij(tau, tau, 0, 0) - S (E_ij + E_ji) S^T - delta_ij I, from the public grids
+        s = moments.mode_autocov(xs, 1, tau)
+        p = s.shape[0]
+        out = moments.mode_b_lags_grid(xs, 1, (tau, tau, 0, 0))
+        for i in range(p):
+            for j in range(p):
+                e = np.zeros((p, p))
+                e[i, j] += 1.0
+                e[j, i] += 1.0
+                out[i, j] -= s @ e @ s.T + (i == j) * np.eye(p)
+        return out.reshape(-1, p, p)
+
+    @staticmethod
+    def mode_grid(xs, mode, tau):
+        # B_ij(0, tau, tau, 0) + B_ij(0, tau, 0, tau) - B_ij(tau, tau, 0, 0)
+        # - S_0 (E_ij + E_ji + I) S_0^T, from the public grids
+        s0 = moments.mode_autocov(xs, mode, 0)
+        p = s0.shape[0]
+        out = (moments.mode_b_lags_grid(xs, mode, (0, tau, tau, 0))
+               + moments.mode_b_lags_grid(xs, mode, (0, tau, 0, tau))
+               - moments.mode_b_lags_grid(xs, mode, (tau, tau, 0, 0)))
+        for i in range(p):
+            for j in range(p):
+                e = np.eye(p)
+                e[i, j] += 1.0
+                e[j, i] += 1.0
+                out[i, j] -= s0 @ e @ s0.T
+        return out.reshape(-1, p, p)
+
+    @pytest.mark.parametrize("lags", [(0, 1, 3), tuple(range(13))])
+    def test_vector_set_stacks_the_lag_grids(self, lags):
+        xs = np.random.default_rng(41).standard_normal((60, 5))
+        got = moments.c_grids(xs, lags)
+        assert got.shape == (25 * len(lags), 5, 5)
+        want = np.concatenate([self.vector_grid(xs, tau) for tau in lags])
+        assert np.abs(got - want).max() < 1e-13
+        assert np.array_equal(got[25:50], moments.c_tau_grid(xs, lags[1]).reshape(-1, 5, 5))
+
+    @pytest.mark.parametrize("lags", [(0, 1, 3), tuple(range(13))])
+    @pytest.mark.parametrize("dims", [(4, 3), (3, 2, 2)])
+    def test_mode_set_stacks_the_lag_grids(self, dims, lags):
+        xs = np.random.default_rng(42).standard_normal((60,) + dims)
+        for mode, p in enumerate(dims, start=1):
+            got = moments.mode_c_grids(xs, mode, lags)
+            assert got.shape == (p * p * len(lags), p, p)
+            want = np.concatenate([self.mode_grid(xs, mode, tau) for tau in lags])
+            assert np.abs(got - want).max() < 1e-13
+            assert np.array_equal(got[-p * p:],
+                                  moments.mode_c_grid(xs, mode, lags[-1]).reshape(-1, p, p))
+
+    def test_lag_out_of_range_in_a_set(self):
+        xs = rng.standard_normal((10, 2, 2))
+        with pytest.raises(ValueError, match="lag 10 out of range for series of length 10"):
+            moments.c_grids(xs[:, :, 0], (0, 1, 10))
+        with pytest.raises(ValueError, match="lag 12 out of range for series of length 10"):
+            moments.mode_c_grids(xs, 2, (0, 12, 3))
+
+
 class TestStructuralInvariants:
     def test_order1_mode_functionals_reduce_to_vector(self):
         xs = rng.standard_normal((25, 4))
