@@ -17,8 +17,6 @@ i <= j of its symmetric side before expanding them to the full grid.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .tensor import series_flatten
@@ -42,13 +40,6 @@ def _check_lag(tau: int, t: int) -> None:
 def _lag_products(f: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     """F_{t+a} F_{t+b}^T for t < n, each flattened; shape (n, p * p)."""
     return np.matmul(f[a:a + n], f[b:b + n].swapaxes(1, 2)).reshape(n, -1)
-
-
-def _grid(w: np.ndarray, base: np.ndarray, rho: int) -> np.ndarray:
-    """(1/(n rho)) sum_t w_t[i, j] base_t as a (p, p, p, p) grid, from flat products."""
-    n, pp = w.shape
-    p = math.isqrt(pp)
-    return (w.T @ base).reshape(p, p, p, p) / (n * rho)
 
 
 def mode_autocov(xs: np.ndarray, mode: int, tau: int) -> np.ndarray:
@@ -78,12 +69,13 @@ def mode_b_lags_grid(xs: np.ndarray, mode: int, taus) -> np.ndarray:
     (1/rho_m) E[(e_i^T X_{t+tau1} X_{t+tau2}^T e_j) X_{t+tau3} X_{t+tau4}^T].
     """
     f = series_flatten(xs, mode)
-    t, _, rho = f.shape
+    t, p, rho = f.shape
     t1, t2, t3, t4 = (int(v) for v in taus)
     for tau in (t1, t2, t3, t4):
         _check_lag(tau, t)
     n = t - max(t1, t2, t3, t4)
-    return _grid(_lag_products(f, t1, t2, n), _lag_products(f, t3, t4, n), rho)
+    w = _lag_products(f, t1, t2, n)
+    return (w.T @ _lag_products(f, t3, t4, n)).reshape(p, p, p, p) / (n * rho)
 
 
 def _pair_term(s: np.ndarray) -> np.ndarray:
