@@ -4,12 +4,13 @@ Vector methods: SOBI, gFOBI, gJADE and the lag-{0} special cases FOBI, JADE.
 Tensor methods: TSOBI, TgFOBI, TgJADE and TFOBI, TJADE.
 
 `unmix` is the one entry point; a vector method sees the vectorized
-frames, a (T, p) series, which is the one-mode series whose mode
-functionals (`moments`, with rho = 1) are the vector moments.  The fit
-centers, standardizes every mode simultaneously (`whiten`), flattens each
-mode once and builds its matrix set with the method's entry in
-`METHOD_NAMES` (vector gjade places its lags differently from tgjade),
-diagonalizes each mode, and forms Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
+frames, a (T, p) series, which is the one-mode series whose mode moment
+sets (`moments`, with rho = 1) are the vector moments.  The fit centers,
+standardizes every mode simultaneously (`whiten`), flattens each mode
+once, builds that mode's matrix set with the `moments` builder its
+`METHOD_NAMES` entry names (vector gjade, `c_grids`, places its lags
+differently from tgjade's `mode_c_grids`), diagonalizes each mode, and
+forms Gamma^m = U_m^T (Sigma_0^m)^{-1/2}.
 """
 
 from __future__ import annotations
@@ -35,27 +36,20 @@ __all__ = [
 DEFAULT_SOBI_LAGS = tuple(range(1, 13))
 DEFAULT_G_LAGS = tuple(range(0, 13))
 
-# The (K, p, p) matrix set of a mode for a lag set, from its flattening f
-# (mode 1 of f is that mode): lag first, and a grid's matrices in (i, j)
-# order, j fastest.  The lambdas look the functions up at call time, so a
-# wrapper set on `moments` sees every call.
-_SOBI = lambda f, lags: np.stack([moments.mode_autocov(f, 1, tau) for tau in lags])  # noqa: E731
-_GFOBI = lambda f, lags: np.stack([moments.mode_b_tau(f, 1, tau) for tau in lags])  # noqa: E731
-_GJADE = lambda f, lags: moments.mode_c_grids(f, 1, lags)  # noqa: E731
-_VECTOR_GJADE = lambda f, lags: moments.c_grids(f, lags)  # noqa: E731
-
-# method name -> (matrix set of a mode, tensor path?, default lags)
+# method name -> (the `moments` builder of a mode's (K, p, p) matrix set,
+# tensor path?, default lags).  `unmix` looks the builder up on `moments` at
+# call time, so a wrapper set on `moments` sees every call.
 METHOD_NAMES = {
-    "sobi": (_SOBI, False, DEFAULT_SOBI_LAGS),
-    "gfobi": (_GFOBI, False, DEFAULT_G_LAGS),
-    "gjade": (_VECTOR_GJADE, False, DEFAULT_G_LAGS),
-    "fobi": (_GFOBI, False, (0,)),
-    "jade": (_VECTOR_GJADE, False, (0,)),
-    "tsobi": (_SOBI, True, DEFAULT_SOBI_LAGS),
-    "tgfobi": (_GFOBI, True, DEFAULT_G_LAGS),
-    "tgjade": (_GJADE, True, DEFAULT_G_LAGS),
-    "tfobi": (_GFOBI, True, (0,)),
-    "tjade": (_GJADE, True, (0,)),
+    "sobi": ("mode_autocov", False, DEFAULT_SOBI_LAGS),
+    "gfobi": ("mode_b_tau", False, DEFAULT_G_LAGS),
+    "gjade": ("c_grids", False, DEFAULT_G_LAGS),
+    "fobi": ("mode_b_tau", False, (0,)),
+    "jade": ("c_grids", False, (0,)),
+    "tsobi": ("mode_autocov", True, DEFAULT_SOBI_LAGS),
+    "tgfobi": ("mode_b_tau", True, DEFAULT_G_LAGS),
+    "tgjade": ("mode_c_grids", True, DEFAULT_G_LAGS),
+    "tfobi": ("mode_b_tau", True, (0,)),
+    "tjade": ("mode_c_grids", True, (0,)),
 }
 
 
@@ -135,14 +129,15 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
     `moments`, `joint_diag`, `assemble`), summed over modes.
     """
     lags = method_lags(method, lags)
-    mode_set, tensor_path, _ = METHOD_NAMES[method]
+    builder, tensor_path, _ = METHOD_NAMES[method]
     xs = np.asarray(xs, dtype=float)
     if xs.ndim < 2:
         raise ValueError("expected a series of shape (T, p_1, ..., p_r)")
     if not tensor_path:
         xs = series_components(xs)
     if xs.shape[0] <= lags[-1]:
-        raise ValueError("series shorter than the largest lag")
+        raise ValueError(f"series shorter than the largest lag: "
+                         f"T={xs.shape[0]}, largest lag {lags[-1]}")
     if not np.isfinite(xs).all():
         raise ValueError("series contains NaN or infinite values")
     stage_s = dict.fromkeys(("whiten", "moments", "joint_diag", "assemble"), 0.0)
@@ -153,7 +148,7 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
     stage_s["whiten"] = t1 - t0
     rotations, gammas, diag_info = [], [], []
     for m, w in enumerate(whiteners, start=1):
-        mats = mode_set(series_flatten(ys, m), lags)
+        mats = getattr(moments, builder)(series_flatten(ys, m), lags)
         t2 = perf_counter()
         res = joint_diagonalize(mats)
         t3 = perf_counter()

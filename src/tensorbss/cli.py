@@ -67,6 +67,9 @@ def read_matrices(path) -> list:
                 block = None
             if rows < 1 or block is None or block.shape != (rows, cols):
                 raise ValueError(f"{path}: matrix block {k} of {count} is not {rows}x{cols}")
+            if not np.isfinite(block).all():
+                raise ValueError(f"{path}: matrix block {k} of {count} contains NaN or "
+                                 f"infinite values")
             mats.append(block)
     return mats
 

@@ -146,7 +146,7 @@ def write_series(path, xs: np.ndarray) -> None:
 
 
 def read_series(path) -> np.ndarray:
-    """Read a tensor series written by :func:`write_series`."""
+    """Read a tensor series written by :func:`write_series`; NaN or Inf is rejected."""
     with open(path) as fh:
         header = fh.readline().strip()
         try:
@@ -165,4 +165,6 @@ def read_series(path) -> np.ndarray:
         raise ValueError(
             f"series body shape {flat.shape} does not match header dims={dims}, T={t}"
         )
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: series body contains NaN or infinite values")
     return series_from_components(flat, dims)

@@ -28,6 +28,7 @@ from tensorbss.tensor import (
     m_flatten,
     m_unflatten,
     series_components,
+    series_flatten,
     series_mode_product,
     mode_product,
     vectorize,
@@ -101,28 +102,30 @@ def test_criterion_2_moment_functionals_match_oracles(report):
         nonlocal worst
         worst = max(worst, np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
-    # the (i, j) matrices are checked as entries [i-1, j-1] of the grids the fit uses
-    for tau in (0, 1, 3):
-        track(moments.mode_autocov(flat, 1, tau),
-              oracles.naive_sigma_tau(flat, tau))
-        track(moments.mode_b_tau(flat, 1, tau), oracles.naive_b_tau(flat, tau))
-        b_grid = moments.mode_b_lags_grid(flat, 1, (tau, tau, 0, 0))
-        c_grid = moments.c_tau_grid(flat, tau)
+    # each builder is called as the fit calls it, on a mode's flattening with
+    # the whole lag set; the (i, j) matrices are entries [i-1, j-1] of its grids
+    lags = (0, 1, 3)
+    f = series_flatten(flat, 1)
+    p = f.shape[1]
+    autocov = moments.mode_autocov(f, lags)
+    b_tau = moments.mode_b_tau(f, lags)
+    c_grids = moments.c_grids(f, lags).reshape(len(lags), p, p, p, p)
+    for k, tau in enumerate(lags):
+        track(autocov[k], oracles.naive_sigma_tau(flat, tau))
+        track(b_tau[k], oracles.naive_b_tau(flat, tau))
         for i, j in ((1, 1), (2, 5), (12, 3)):
-            track(b_grid[i - 1, j - 1], oracles.naive_b_tau_ij(flat, tau, i, j))
-            track(c_grid[i - 1, j - 1], oracles.naive_c_tau_ij(flat, tau, i, j))
-        for m in (1, 2, 3):
-            track(moments.mode_autocov(xs, m, tau),
-                  oracles.naive_mode_autocov(xs, m, tau))
-            track(moments.mode_b_tau(xs, m, tau),
-                  oracles.naive_mode_b_tau(xs, m, tau))
-            b_grid = moments.mode_b_lags_grid(xs, m, (0, tau, tau, 0))
-            c_grid = moments.mode_c_grid(xs, m, tau)
-            p = xs.shape[m]
+            track(c_grids[k, i - 1, j - 1], oracles.naive_c_tau_ij(flat, tau, i, j))
+    for m in (1, 2, 3):
+        f = series_flatten(xs, m)
+        p = f.shape[1]
+        autocov = moments.mode_autocov(f, lags)
+        b_tau = moments.mode_b_tau(f, lags)
+        c_grids = moments.mode_c_grids(f, lags).reshape(len(lags), p, p, p, p)
+        for k, tau in enumerate(lags):
+            track(autocov[k], oracles.naive_mode_autocov(xs, m, tau))
+            track(b_tau[k], oracles.naive_mode_b_tau(xs, m, tau))
             for i, j in ((1, 1), (1, p)):
-                track(b_grid[i - 1, j - 1],
-                      oracles.naive_mode_b_lags(xs, m, (0, tau, tau, 0), i, j))
-                track(c_grid[i - 1, j - 1], oracles.naive_mode_c_tau_ij(xs, m, tau, i, j))
+                track(c_grids[k, i - 1, j - 1], oracles.naive_mode_c_tau_ij(xs, m, tau, i, j))
     report(2, f"moment functionals equal brute-force oracles on a 3x2x2 "
               f"series (max error {worst:.2e}, tol 1e-12)", worst < 1e-12)
 

@@ -423,6 +423,21 @@ class TestCliEvaluate:
         assert main(["rank", "--in", str(tmp_path / "rec.ts")]) == 0
         assert capsys.readouterr().out.split("\n")[1].startswith("1,2x3,")
 
+    @pytest.mark.parametrize("which", ["rec", "targets"])
+    def test_non_finite_series_is_usage_error(self, tmp_path, capsys, which):
+        zs = np.random.default_rng(8).standard_normal((200, 2, 2))
+        write_series(tmp_path / "rec.ts", zs)
+        write_series(tmp_path / "targets.ts", zs)
+        bad = zs.copy()
+        bad[17, 1, 0] = np.nan
+        write_series(tmp_path / f"{which}.ts", bad)
+        assert main(["evaluate", "--recovered", str(tmp_path / "rec.ts"),
+                     "--targets", str(tmp_path / "targets.ts")]) == 1
+        captured = capsys.readouterr()
+        assert "max_abs_corr" not in captured.out
+        assert captured.err == (f"error: {tmp_path / which}.ts: series body contains "
+                                f"NaN or infinite values\n")
+
     def test_both_or_neither_mode_is_usage_error(self, capsys):
         assert main(["evaluate"]) == 1
 
@@ -472,6 +487,15 @@ class TestCliRankAndBench:
         assert main(["rank", "--in", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: could not convert string 'x'")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_series_value_names_the_file(self, tmp_path, capsys, bad):
+        path = tmp_path / "s.ts"
+        path.write_text(f"dims=2;T=3\n1 2\n3 {bad}\n5 6\n")
+        assert main(["rank", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: series body contains NaN or infinite values\n"
 
     def test_bench_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
@@ -564,6 +588,25 @@ class TestMatrixFileFormat:
         assert capsys.readouterr().err == (
             f"error: {path}: matrix block 1 of 1 has a malformed header {header!r}, "
             f"expected integer rows and cols\n")
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_entry_is_usage_error(self, tmp_path, capsys, bad):
+        rng = np.random.default_rng(9)
+        mats = [rng.standard_normal((p, p)) for p in (3, 2)]
+        write_matrices(tmp_path / "unmixers.txt", [np.linalg.inv(a) for a in mats])
+        path = tmp_path / "mixing.txt"
+        write_matrices(path, mats)
+        lines = path.read_text().split("\n")
+        lines[-2] = f"0.5 {bad}"  # the last row of block 2
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="matrix block 2 of 2 contains NaN or infinite"):
+            read_matrices(path)
+        assert main(["evaluate", "--unmixers", str(tmp_path / "unmixers.txt"),
+                     "--mixing", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "mdi=" not in captured.out
+        assert captured.err == (f"error: {path}: matrix block 2 of 2 contains NaN or "
+                                f"infinite values\n")
 
     def test_row_with_a_non_number_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

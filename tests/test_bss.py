@@ -19,7 +19,7 @@ from tensorbss.cli import main
 from tensorbss.linalg import RankDeficiencyError
 from tensorbss.metrics import kron_unmixing, mdi
 from tensorbss.simgen import ArmaSpec, gen_arma, gen_latent_setting, gen_mixing, mix
-from tensorbss.tensor import series_components, series_mode_product
+from tensorbss.tensor import series_components, series_flatten, series_mode_product
 
 from oracles import naive_mode_autocov, pj_distance
 
@@ -36,8 +36,8 @@ class TestWhitening:
         xs = rng.standard_normal((500, 4)) @ rng.standard_normal((4, 4))
         xs -= xs.mean(axis=0)
         ys, (w,) = whiten(xs)
-        np.testing.assert_allclose(moments.mode_autocov(ys, 1, 0), np.eye(4),
-                                   atol=1e-10)
+        np.testing.assert_allclose(moments.mode_autocov(series_flatten(ys, 1), (0,))[0],
+                                   np.eye(4), atol=1e-10)
 
     def test_vector_whitener_for_diagonal_covariance(self):
         rng = np.random.default_rng(1)
@@ -58,7 +58,7 @@ class TestWhitening:
         # Simultaneous standardization from a finite sample leaves each mode
         # covariance proportional to the identity, not exactly I.
         for m in range(1, 4):
-            cov = moments.mode_autocov(ys, m, 0)
+            cov = moments.mode_autocov(series_flatten(ys, m), (0,))[0]
             off = cov - np.diag(np.diag(cov))
             assert np.max(np.abs(off)) < 0.2 * np.min(np.diag(cov))
 
@@ -218,14 +218,13 @@ class TestSpecialCases:
 class TestMethodTable:
     def test_table_shape(self):
         assert len(METHOD_NAMES) == 10
-        f = tensor.series_flatten(np.random.default_rng(14).standard_normal((50, 3)), 1)
+        f = series_flatten(np.random.default_rng(14).standard_normal((50, 3)), 1)
         for name, entry in METHOD_NAMES.items():
-            mode_set, tensor_path, default = entry
-            assert callable(mode_set) and type(tensor_path) is bool
-            assert list(inspect.signature(mode_set).parameters) == ["f", "lags"]
+            builder, tensor_path, default = entry
+            assert type(tensor_path) is bool
             # one (K, p, p) set per mode: a matrix per lag, or p * p for a gjade family
             per_lag = 9 if name.endswith("jade") else 1
-            assert mode_set(f, (1, 2)).shape == (2 * per_lag, 3, 3)
+            assert getattr(moments, builder)(f, (1, 2)).shape == (2 * per_lag, 3, 3)
             assert type(default) is tuple
             assert method_lags(name, default) == default == method_lags(name)
         assert sum(tensor_path for _, tensor_path, _ in METHOD_NAMES.values()) == 5
@@ -256,29 +255,46 @@ class TestMethodTable:
         assert all(v >= 0.0 for v in stage_s.values())
         assert sum(stage_s.values()) <= wall
 
+    def test_every_entry_names_a_set_builder(self):
+        for builder, _, _ in METHOD_NAMES.values():
+            assert builder in moments.__all__
+            assert list(inspect.signature(getattr(moments, builder)).parameters) == ["f", "lags"]
+
+    @pytest.mark.parametrize("method", sorted(METHOD_NAMES))
+    def test_builder_wrapper_sees_one_call_per_mode(self, monkeypatch, method):
+        # unmix looks the builder up on `moments` at call time, as a tracer's
+        # wrapper needs; each call gets a whole mode's lag set
+        builder, tensor_path, _ = METHOD_NAMES[method]
+        fn, calls = getattr(moments, builder), []
+
+        def counted(f, lags):
+            calls.append((f.shape[1], lags))
+            return fn(f, lags)
+
+        monkeypatch.setattr(moments, builder, counted)
+        unmix(np.random.default_rng(17).standard_normal((300, 3, 2, 2)), method)
+        sizes = [3, 2, 2] if tensor_path else [12]
+        assert calls == [(p, method_lags(method)) for p in sizes]
+
     @pytest.mark.parametrize("method", sorted(METHOD_NAMES))
     def test_fit_lays_out_each_mode_once(self, monkeypatch, method):
-        # unmix flattens each whitened mode once; every moment call then
-        # receives that flattening at mode 1 and takes a view of it
+        # unmix flattens each whitened mode once and hands the flattening to
+        # the mode's set builder
         calls = []
 
-        def recorder(where):
-            def flatten(xs, mode):
-                f = tensor.series_flatten(xs, mode)
-                calls.append((where, mode, not np.shares_memory(f, xs)))
-                return f
-            return flatten
+        def flatten(xs, mode):
+            f = tensor.series_flatten(xs, mode)
+            calls.append((mode, not np.shares_memory(f, xs)))
+            return f
 
-        monkeypatch.setattr(bss, "series_flatten", recorder("fit"), raising=False)
-        monkeypatch.setattr(moments, "series_flatten", recorder("moments"))
+        monkeypatch.setattr(bss, "series_flatten", flatten)
         xs = np.random.default_rng(12).standard_normal((300, 3, 2, 2))
         unmix(xs, method)
         tensor_path = METHOD_NAMES[method][1]
         modes = [1, 2, 3] if tensor_path else [1]
-        assert [mode for where, mode, _ in calls if where == "fit"] == modes
-        # only the fit's flattening of a tensor mode copies; that of a (T, p)
-        # series is a view
-        assert [mode for _, mode, copied in calls if copied] == (modes if tensor_path else [])
+        assert [mode for mode, _ in calls] == modes
+        # the flattening of a tensor mode copies; that of a (T, p) series is a view
+        assert [mode for mode, copied in calls if copied] == (modes if tensor_path else [])
 
     @pytest.mark.parametrize("method,counts", [
         ("gjade", [(1872, 78)]),  # 13 lags x 144 matrices of size 12x12
@@ -376,7 +392,8 @@ class TestConvergenceRates:
 class TestInputValidation:
     def test_series_shorter_than_lag_rejected(self):
         xs = np.random.default_rng(50).standard_normal((10, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^series shorter than the largest lag: "
+                                             "T=10, largest lag 12$"):
             unmix(xs, "sobi", lags=(12,))
 
     @pytest.mark.parametrize("method", ["sobi", "tsobi"])
