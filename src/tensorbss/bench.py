@@ -7,13 +7,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .bss import method_lags, unmix
 from .metrics import kron_unmixing, mdi
-from .simgen import SETTINGS, gen_latent_setting, gen_mixing, mix
+from .simgen import (DEFAULT_DIMS, MIXING_KINDS, gen_latent_setting, gen_mixing, mix,
+                     setting_specs)
 
 __all__ = ["ExperimentSpec", "parse_experiment_spec", "run_benchmark", "SUMMARY_HEADER"]
 
@@ -26,7 +28,7 @@ class ExperimentSpec:
 
     setting: str
     mixing: str
-    dims: tuple = (3, 2, 2)
+    dims: tuple = DEFAULT_DIMS
     lengths: tuple = (1000,)
     methods: tuple = ("tsobi",)
     lags: dict = field(default_factory=dict)  # method name -> lag tuple override
@@ -35,27 +37,19 @@ class ExperimentSpec:
     out: str = "bench_out"
 
     def __post_init__(self):
-        if self.setting not in SETTINGS:
-            raise ValueError(f"unknown setting {self.setting!r}")
-        if self.mixing not in ("gaussian", "haar"):
+        setting_specs(self.setting, self.dims)
+        if self.mixing not in MIXING_KINDS:
             raise ValueError(f"unknown mixing {self.mixing!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"dims: expected sizes >= 1, got {tuple(self.dims)}")
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ValueError(f"method {repeated[0]!r} is listed more than once")
         unlisted = sorted(set(self.lags) - set(self.methods))
         if unlisted:
             raise ValueError(f"lag overrides for methods not in the method list: {unlisted}")
-        cells = int(np.prod(self.dims))
-        models = len(SETTINGS[self.setting]())
-        if cells != models:
-            raise ValueError(f"dims {tuple(self.dims)} hold {cells} cells, "
-                             f"setting {self.setting!r} defines {models} component models")
         max_lag = 0
         for m in self.methods:
             method_lags(m)  # an unknown name is not an error of lags.<name>
@@ -122,17 +116,18 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             lags[key.removeprefix("lags.")] = _parse_lags(kv.pop(key))
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from exc
+    # an optional key left out takes the ExperimentSpec default
+    optional = {name: read(key, kv.pop(key)) for key, name, read in (
+        ("dims", "dims", _parse_ints), ("reps", "replicates", _parse_int),
+        ("seed", "seed", _parse_int), ("out", "out", lambda key, text: text)) if key in kv}
     try:
         spec = ExperimentSpec(
             setting=kv.pop("setting"),
             mixing=kv.pop("mixing"),
-            dims=_parse_ints("dims", kv.pop("dims", "3,2,2")),
             lengths=_parse_ints("T", kv.pop("T")),
             methods=tuple(m.strip() for m in kv.pop("methods").split(",")),
             lags=lags,
-            replicates=_parse_int("reps", kv.pop("reps", "1")),
-            seed=_parse_int("seed", kv.pop("seed", "0")),
-            out=kv.pop("out", "bench_out"),
+            **optional,
         )
     except KeyError as exc:
         raise ValueError(f"missing required config key {exc.args[0]!r}") from exc
@@ -146,12 +141,14 @@ def _replicate_rng(seed: int, t_index: int, rep: int) -> np.random.Generator:
     return np.random.default_rng([seed, t_index, rep])
 
 
-def _run_replicate(spec: ExperimentSpec, t_index: int, rep: int) -> tuple[dict, list]:
-    """One replicate: simulate, mix, run every method, score by MDI.
+def _run_replicate(spec: ExperimentSpec, task: tuple) -> dict:
+    """One replicate, `task` = (T index, replicate): simulate, mix, fit, score by MDI.
 
-    Returns the MDI (or error) per method and the sorted methods whose
-    diagonalizer stopped at the sweep cap on any mode.
+    Returns the manifest's replicate entry: T, the replicate index, the MDI
+    (or error) per method and, under `not_converged`, the sorted methods
+    whose diagonalizer stopped at the sweep cap on any mode.
     """
+    t_index, rep = task
     t = spec.lengths[t_index]
     rng = _replicate_rng(spec.seed, t_index, rep)
     zs = gen_latent_setting(spec.setting, t, rng, dims=spec.dims)
@@ -169,7 +166,7 @@ def _run_replicate(spec: ExperimentSpec, t_index: int, rep: int) -> tuple[dict, 
             continue
         if not all(d["converged"] for d in res.diagnostics["joint_diag"]):
             capped.append(method)
-    return out, sorted(capped)
+    return {"T": t, "replicate": rep, "mdi": out, "not_converged": sorted(capped)}
 
 
 def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
@@ -181,24 +178,18 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
     if jobs < 1:
         raise ValueError(f"jobs: expected an integer >= 1, got {jobs}")
     start = time.time()
-    tasks = [(ti, rep) for ti in range(len(spec.lengths))
-             for rep in range(spec.replicates)]
-    args = ([spec] * len(tasks), [ti for ti, _ in tasks], [rep for _, rep in tasks])
-    raw = []
+    tasks = [(ti, rep) for ti in range(len(spec.lengths)) for rep in range(spec.replicates)]
+    replicates = []
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for result in (pool.map if pool else map)(_run_replicate, *args):
-            raw.append(result)
+        for entry in (pool.map if pool else map)(partial(_run_replicate, spec), tasks):
+            replicates.append(entry)
             if progress:
-                progress(len(raw), len(tasks))
-    replicate_results = [
-        {"T": spec.lengths[ti], "replicate": rep, "mdi": raw[k][0], "not_converged": raw[k][1]}
-        for k, (ti, rep) in enumerate(tasks)
-    ]
+                progress(len(replicates), len(tasks))
     aggregates = []
     for ti, t in enumerate(spec.lengths):
+        runs = replicates[ti * spec.replicates:(ti + 1) * spec.replicates]
         for method in spec.methods:
-            runs = [raw[k] for k, (tj, _) in enumerate(tasks) if tj == ti]
-            vals = [mdis[method] for mdis, _ in runs]
+            vals = [run["mdi"][method] for run in runs]
             ok = np.array([v for v in vals if isinstance(v, float)])
             n_ok = ok.size
             mean = float(ok.mean()) if n_ok else float("nan")
@@ -207,14 +198,14 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
                 "setting": spec.setting, "mixing": spec.mixing, "method": method,
                 "T": t, "mean_mdi": mean, "se_mdi": se, "n_ok": n_ok,
                 "n_failed": len(vals) - n_ok,
-                "n_not_converged": sum(method in capped for _, capped in runs),
+                "n_not_converged": sum(method in run["not_converged"] for run in runs),
             })
     return {
         "spec": asdict(spec),
         "seed": spec.seed,
         "library_version": __version__,
         "wall_clock_seconds": time.time() - start,
-        "replicates": replicate_results,
+        "replicates": replicates,
         "aggregates": aggregates,
     }
 

@@ -18,7 +18,7 @@ from .bench import (_parse_ints, _parse_lags, parse_experiment_spec, run_benchma
                     summary_csv, write_manifest)
 from .bss import METHOD_NAMES, RankDeficiencyError, method_lags, unmix
 from .metrics import kron_unmixing, kurtosis_rank, max_abs_correlations, mdi
-from .simgen import gen_latent_setting, gen_mixing, mix
+from .simgen import DEFAULT_DIMS, MIXING_KINDS, SETTINGS, gen_latent_setting, gen_mixing, mix
 from .tensor import read_series, series_components, write_series
 
 USAGE_ERROR = 1
@@ -186,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a latent series, mix it, write files")
-    p.add_argument("--setting", required=True, choices=("arma", "sv"))
-    p.add_argument("--mixing", required=True, choices=("gaussian", "haar"))
-    p.add_argument("--dims", default="3,2,2")
+    p.add_argument("--setting", required=True, choices=sorted(SETTINGS))
+    p.add_argument("--mixing", required=True, choices=MIXING_KINDS)
+    p.add_argument("--dims", default=",".join(map(str, DEFAULT_DIMS)))
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

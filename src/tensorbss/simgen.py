@@ -3,13 +3,13 @@
 The ARMA setting and the SV (stochastic volatility / GARCH) setting each
 define 12 mutually independent scalar component series that fill a
 3 x 2 x 2 latent tensor cell-by-cell in the linear layout order (first
-index fastest).
+index fastest).  The setting names, mixing kinds and default shape live here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -28,11 +28,16 @@ __all__ = [
     "mix",
     "arma_setting_specs",
     "sv_setting_specs",
+    "setting_specs",
     "SETTINGS",
+    "MIXING_KINDS",
+    "DEFAULT_DIMS",
 ]
 
 BURN_IN = 1000
 MAX_MIXING_COND = 1e6
+MIXING_KINDS = ("gaussian", "haar")
+DEFAULT_DIMS = (3, 2, 2)
 
 
 @dataclass
@@ -81,7 +86,18 @@ class SvSpec:
             raise ValueError("innovation degrees of freedom must exceed 2 (or be inf)")
 
 
-def _rescale(x: np.ndarray, center: bool = True) -> np.ndarray:
+def _draw_count(t: int) -> int:
+    """The number of values a generator draws for a length-T series: T plus the burn-in."""
+    if t < 1:
+        raise ValueError("series length must be positive")
+    return t + BURN_IN
+
+
+def _standardize(path: np.ndarray, model: str, center: bool) -> np.ndarray:
+    """Drop the burn-in, reject a non-finite path and scale it to unit variance."""
+    x = path[BURN_IN:]
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{model} recursion diverged: the generated path is not finite")
     if center:
         x = x - x.mean()
     sd = x.std()
@@ -92,34 +108,27 @@ def _rescale(x: np.ndarray, center: bool = True) -> np.ndarray:
 
 def gen_arma(spec: ArmaSpec, t: int, rng: np.random.Generator) -> np.ndarray:
     """Generate a length-T ARMA series, burn-in discarded, zero mean unit variance."""
-    if t < 1:
-        raise ValueError("series length must be positive")
+    n = _draw_count(t)
     theta = np.asarray(spec.theta, dtype=float)
     if spec.random_ma_order is not None:
         theta = rng.uniform(-1.0, 1.0, spec.random_ma_order)
     phi = np.asarray(spec.phi, dtype=float)
-    n = t + BURN_IN
-    eps = rng.standard_normal(n)
-    x = lfilter(np.r_[1.0, theta], np.r_[1.0, -phi], eps)[BURN_IN:]
-    if not np.all(np.isfinite(x)):
-        raise ValueError("ARMA recursion diverged (non-stationary parameters?)")
-    return _rescale(x)
+    x = lfilter(np.r_[1.0, theta], np.r_[1.0, -phi], rng.standard_normal(n))
+    return _standardize(x, "ARMA", center=True)
 
 
 def gen_garch(spec: GarchSpec, t: int, rng: np.random.Generator) -> np.ndarray:
     """Generate a GARCH series with unit unconditional variance, then rescale."""
-    if t < 1:
-        raise ValueError("series length must be positive")
+    n = _draw_count(t)
     alpha = [float(a) for a in spec.alpha]
     beta = [float(b) for b in spec.beta]
     omega = float(1.0 - np.sum(alpha) - np.sum(beta))
-    eps = rng.standard_normal(t + BURN_IN)
     # squared values and variances, newest last; the pre-sample sits at the
     # unconditional variance
     y2 = [1.0] * len(alpha)
     s2 = [1.0] * len(beta)
     y = []
-    for e in eps.tolist():
+    for e in rng.standard_normal(n).tolist():
         var = omega
         for i, a in enumerate(alpha):
             var += a * y2[-1 - i]
@@ -129,33 +138,23 @@ def gen_garch(spec: GarchSpec, t: int, rng: np.random.Generator) -> np.ndarray:
         y.append(yk)
         y2.append(yk * yk)
         s2.append(var)
-    y = np.array(y[BURN_IN:])
-    if not np.all(np.isfinite(y)):
-        raise ValueError("GARCH recursion diverged")
-    return _rescale(y, center=False)
+    return _standardize(np.array(y), "GARCH", center=False)
 
 
 def gen_sv(spec: SvSpec, t: int, rng: np.random.Generator) -> np.ndarray:
     """Generate a stochastic volatility series, burn-in discarded, unit variance."""
-    if t < 1:
-        raise ValueError("series length must be positive")
-    n = t + BURN_IN
+    n = _draw_count(t)
     eta = rng.standard_normal(n)
     h0 = spec.mu + spec.sigma / np.sqrt(1.0 - spec.phi ** 2) * rng.standard_normal()
     # h_t - mu follows AR(1) with coefficient phi and innovations sigma*eta
     dev = lfilter([1.0], [1.0, -spec.phi], spec.sigma * eta,
                   zi=[spec.phi * (h0 - spec.mu)])[0]
-    h = spec.mu + dev
     if np.isinf(spec.nu):
         innov = rng.standard_normal(n)
     else:
         # standardized t innovations: unit variance for nu > 2
         innov = rng.standard_t(spec.nu, n) * np.sqrt((spec.nu - 2.0) / spec.nu)
-    y = np.exp(0.5 * h) * innov
-    y = y[BURN_IN:]
-    if not np.all(np.isfinite(y)):
-        raise ValueError("SV recursion produced non-finite values")
-    return _rescale(y, center=False)
+    return _standardize(np.exp(0.5 * (spec.mu + dev)) * innov, "SV", center=False)
 
 
 def arma_setting_specs() -> list:
@@ -196,34 +195,33 @@ def sv_setting_specs() -> list:
 
 SETTINGS = {"arma": arma_setting_specs, "sv": sv_setting_specs}
 
+# spec type -> its generator's name, looked up at call time so a wrapper sees every call
+_GENERATORS = {ArmaSpec: "gen_arma", GarchSpec: "gen_garch", SvSpec: "gen_sv"}
 
-def _gen_component(spec, t: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(spec, ArmaSpec):
-        return gen_arma(spec, t, rng)
-    if isinstance(spec, GarchSpec):
-        return gen_garch(spec, t, rng)
-    if isinstance(spec, SvSpec):
-        return gen_sv(spec, t, rng)
-    raise TypeError(f"unknown component spec {type(spec).__name__}")
+
+def setting_specs(setting: str, dims=DEFAULT_DIMS) -> list:
+    """The component models of a known `setting`, checked to fill `dims` one per cell."""
+    if setting not in SETTINGS:
+        raise ValueError(f"unknown setting {setting!r}; expected one of {sorted(SETTINGS)}")
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"dims {dims}: every size must be >= 1")
+    specs = SETTINGS[setting]()
+    if int(np.prod(dims)) != len(specs):
+        raise ValueError(f"dims {dims} hold {int(np.prod(dims))} cells, "
+                         f"setting defines {len(specs)} component models")
+    return specs
 
 
 def gen_latent_setting(setting: str, t: int, rng: np.random.Generator,
-                       dims=(3, 2, 2)) -> np.ndarray:
+                       dims=DEFAULT_DIMS) -> np.ndarray:
     """Generate the latent tensor series for one of the benchmark settings.
 
     The component models fill the tensor cells in linear-layout order
     (first index fastest); returns shape (T, *dims).
     """
-    if setting not in SETTINGS:
-        raise ValueError(f"unknown setting {setting!r}; expected one of {sorted(SETTINGS)}")
-    specs = SETTINGS[setting]()
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"dims {dims}: every size must be >= 1")
-    if int(np.prod(dims)) != len(specs):
-        raise ValueError(f"dims {dims} hold {int(np.prod(dims))} cells, "
-                         f"setting defines {len(specs)} component models")
-    comps = np.column_stack([_gen_component(s, t, rng) for s in specs])
+    specs = setting_specs(setting, dims)
+    comps = np.column_stack([globals()[_GENERATORS[type(s)]](s, t, rng) for s in specs])
     return series_from_components(comps, dims)
 
 
@@ -234,8 +232,9 @@ def gen_mixing(dims, kind: str, rng: np.random.Generator) -> list:
     condition number exceeds 1e6.  kind 'haar': Haar-uniform orthogonal
     matrices via QR with the R-diagonal sign correction.
     """
-    if kind not in ("gaussian", "haar"):
-        raise ValueError(f"unknown mixing kind {kind!r}; expected 'gaussian' or 'haar'")
+    if kind not in MIXING_KINDS:
+        raise ValueError(f"unknown mixing kind {kind!r}; "
+                         f"expected {' or '.join(map(repr, MIXING_KINDS))}")
     mats = []
     for p in dims:
         p = int(p)

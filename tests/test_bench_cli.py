@@ -123,7 +123,7 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize("line,text,want", [
         ("seed    = 7", "seed = -1", "seed: expected a non-negative integer, got -1"),
-        ("dims    = 3,2,2", "dims = -3,-2,2", "dims: expected sizes >= 1, got (-3, -2, 2)"),
+        ("dims    = 3,2,2", "dims = -3,-2,2", "dims (-3, -2, 2): every size must be >= 1"),
     ], ids=["seed", "dims"])
     def test_unrunnable_value_names_its_key(self, tmp_path, capsys, line, text, want):
         path = write_spec(tmp_path, SPEC_TEXT.replace(line, text))
