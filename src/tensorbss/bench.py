@@ -40,10 +40,22 @@ class ExperimentSpec:
         setting_specs(self.setting, self.dims)
         if self.mixing not in MIXING_KINDS:
             raise ValueError(f"unknown mixing {self.mixing!r}")
+        if not self.methods:
+            raise ValueError("methods: expected at least one method")
+        if not self.lengths:
+            raise ValueError("lengths: expected at least one series length")
+        bad = [t for t in self.lengths if not isinstance(t, (int, np.integer))]
+        if bad:
+            raise ValueError(f"lengths: expected integers, got {bad[0]!r}")
+        if not isinstance(self.replicates, (int, np.integer)):
+            raise ValueError(f"replicates: expected an integer, got {self.replicates!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.seed < 0:
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
+        # plain ints, as manifest.json lists them
+        self.lengths = tuple(int(t) for t in self.lengths)
+        self.replicates, self.seed = int(self.replicates), int(self.seed)
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ValueError(f"method {repeated[0]!r} is listed more than once")
@@ -90,6 +102,9 @@ def _parse_int(key: str, text: str) -> int:
         raise ValueError(f"{key}: expected an integer, got {text!r}") from None
 
 
+_SPEC_KEYS = ("setting", "mixing", "dims", "T", "methods", "reps", "seed", "out")
+
+
 def parse_experiment_spec(path) -> ExperimentSpec:
     """Parse the flat key-value config format.
 
@@ -110,6 +125,9 @@ def parse_experiment_spec(path) -> ExperimentSpec:
                 raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line "
                                  f"{first_line[key]}")
             kv[key], first_line[key] = val, lineno
+    unknown = [k for k in kv if k not in _SPEC_KEYS and not k.startswith("lags.")]
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
     lags = {}
     for key in [k for k in kv if k.startswith("lags.")]:
         try:
@@ -121,7 +139,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         ("dims", "dims", _parse_ints), ("reps", "replicates", _parse_int),
         ("seed", "seed", _parse_int), ("out", "out", lambda key, text: text)) if key in kv}
     try:
-        spec = ExperimentSpec(
+        return ExperimentSpec(
             setting=kv.pop("setting"),
             mixing=kv.pop("mixing"),
             lengths=_parse_ints("T", kv.pop("T")),
@@ -131,9 +149,6 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         )
     except KeyError as exc:
         raise ValueError(f"missing required config key {exc.args[0]!r}") from exc
-    if kv:
-        raise ValueError(f"unknown config keys: {list(kv)}")
-    return spec
 
 
 def _replicate_rng(seed: int, t_index: int, rep: int) -> np.random.Generator:

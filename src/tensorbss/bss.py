@@ -179,6 +179,8 @@ def apply_unmixing(xs: np.ndarray, result: UnmixingResult) -> np.ndarray:
     A vector method's fit on tensor input takes the series' vectorized frames.
     """
     xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("xs: series contains NaN or infinite values")
     if result.mean.ndim == 1 and xs.ndim > 2 and np.prod(xs.shape[1:]) == result.mean.size:
         xs = series_components(xs)
     if xs.shape[1:] != result.mean.shape:

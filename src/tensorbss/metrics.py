@@ -44,7 +44,11 @@ def mdi(gamma_hat: np.ndarray, omega: np.ndarray) -> MdiValue:
     the remaining permutation problem is a linear assignment over the
     normalized squared gains g_ij^2 / ||g_i.||^2.
     """
-    g = np.asarray(gamma_hat, dtype=float) @ np.asarray(omega, dtype=float)
+    gamma_hat, omega = np.asarray(gamma_hat, dtype=float), np.asarray(omega, dtype=float)
+    for name, a in (("gamma_hat", gamma_hat), ("omega", omega)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name}: matrix contains NaN or infinite values")
+    g = gamma_hat @ omega
     p = g.shape[0]
     if g.shape != (p, p) or p < 2:
         raise ValueError("MDI needs square matrices of size >= 2")

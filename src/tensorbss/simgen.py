@@ -46,12 +46,20 @@ class ArmaSpec:
 
     Empty coefficient vectors give i.i.d. noise.  `random_ma_order = q`
     replaces `theta` with q MA coefficients drawn fresh from U(-1, 1) at
-    generation time.
+    generation time.  The AR part must be stationary: every root of
+    z^p - phi_1 z^(p-1) - ... - phi_p lies inside the unit circle.
     """
 
     phi: tuple = ()
     theta: tuple = ()
     random_ma_order: int | None = None
+
+    def __post_init__(self):
+        modulus = np.abs(np.roots(np.r_[1.0, -np.asarray(self.phi, dtype=float)]))
+        if modulus.size and not modulus.max() < 1:
+            raise ValueError(f"ARMA stationarity requires every AR root inside the unit "
+                             f"circle, but phi={tuple(self.phi)} has one of modulus "
+                             f"{modulus.max():.6g}")
 
 
 @dataclass

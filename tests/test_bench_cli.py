@@ -81,6 +81,36 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="'tfobi' is listed more than once"):
             parse_experiment_spec(write_spec(tmp_path, spec))
 
+    @pytest.mark.parametrize("field,value,want", [
+        ("methods", (), "methods: expected at least one method"),
+        ("lengths", (), "lengths: expected at least one series length"),
+        ("lengths", (200, 200.5), "lengths: expected integers, got 200.5"),
+        ("replicates", 1.5, "replicates: expected an integer, got 1.5"),
+        ("seed", 1.5, "seed: expected a non-negative integer, got 1.5"),
+    ], ids=["no-methods", "no-lengths", "float-T", "float-reps", "float-seed"])
+    def test_spec_that_cannot_run_names_the_field(self, field, value, want):
+        kwargs = {"lengths": (200,), "methods": ("tsobi",), field: value}
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            ExperimentSpec(setting="arma", mixing="haar", **kwargs)
+
+    def test_numpy_integers_accepted(self, tmp_path):
+        spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(np.int64(200),),
+                              methods=("tfobi",), replicates=np.int32(2), seed=np.uint8(3))
+        write_manifest(run_benchmark(spec), tmp_path / "manifest.json")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [r["T"] for r in manifest["replicates"]] == [200, 200]
+        assert manifest["seed"] == 3 and manifest["spec"]["replicates"] == 2
+
+    @pytest.mark.parametrize("old,new,want", [
+        ("methods = tsobi, tfobi", "method = tsobi", "['method']"),
+        ("dims    = 3,2,2", "dims = 3,3\nrep = 3", "['rep']"),
+    ], ids=["typo-for-required", "with-bad-dims"])
+    def test_unknown_key_reported_first(self, tmp_path, old, new, want):
+        path = write_spec(tmp_path, SPEC_TEXT.replace(old, new))
+        with pytest.raises(ValueError) as exc:
+            parse_experiment_spec(path)
+        assert str(exc.value) == f"unknown config keys: {want}"
+
     def test_dims_not_matching_setting_rejected(self):
         with pytest.raises(ValueError, match="6 cells"):
             ExperimentSpec(setting="arma", mixing="haar", dims=(3, 2), lengths=(200,))

@@ -372,6 +372,16 @@ class TestApplyUnmixing:
         with pytest.raises(ValueError):
             apply_unmixing(rng.standard_normal((10, 3)), res)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        # one bad entry used to turn its whole frame into NaN without an error
+        rng = np.random.default_rng(44)
+        res = unmix(ar1_pair(500, rng), "sobi")
+        xs = rng.standard_normal((10, 2))
+        xs[3, 1] = bad
+        with pytest.raises(ValueError, match="^xs: series contains NaN or infinite values$"):
+            apply_unmixing(xs, res)
+
 
 class TestConvergenceRates:
     def test_off_diagonal_gain_mass_shrinks_with_t(self):

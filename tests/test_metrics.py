@@ -73,6 +73,14 @@ class TestMdi:
         with pytest.raises(ValueError):
             mdi(g, np.eye(3))
 
+    @pytest.mark.parametrize("arg", ["gamma_hat", "omega"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_named(self, arg, bad):
+        mats = {"gamma_hat": np.eye(3), "omega": np.eye(3)}
+        mats[arg][1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{arg}: matrix contains NaN or infinite values$"):
+            mdi(**mats)
+
 
 class TestKronUnmixing:
     def test_acts_like_chained_mode_products(self):

@@ -60,6 +60,39 @@ class TestArma:
         # Fresh U(-1, 1) coefficients per call: lag-1 autocorrelations differ.
         assert abs(sample_ac(x, 1) - sample_ac(y, 1)) > 1e-3
 
+    @pytest.mark.parametrize("phi,modulus", [
+        ((1.5,), "1.5"), ((1.2,), "1.2"), ((2.0,), "2"), ((1.0,), "1"), ((-1.0,), "1"),
+        ((0.5, 0.6), "1.06394"), ((0.0, -1.21), "1.1"),
+    ])
+    def test_non_stationary_ar_part_rejected(self, phi, modulus):
+        # an explosive AR part used to give an all-zero or trend-dominated series
+        with pytest.raises(ValueError, match=rf"^ARMA stationarity requires every AR root "
+                                             rf"inside the unit circle, but phi=.* has one "
+                                             rf"of modulus {modulus}$"):
+            ArmaSpec(phi=phi)
+
+    def test_setting_ar_parts_are_stationary(self):
+        # the largest AR root modulus of the setting is 0.9, so the check passes
+        for spec in arma_setting_specs():
+            roots = np.roots(np.r_[1.0, -np.asarray(spec.phi, dtype=float)])
+            assert roots.size == 0 or np.abs(roots).max() <= 0.9 + 1e-12
+
+    def test_non_finite_path_names_the_model(self):
+        with pytest.raises(ValueError, match="^ARMA recursion diverged: the generated "
+                                             "path is not finite$"):
+            gen_arma(ArmaSpec(theta=(1e308,) * 5), 100, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("gen,spec", [
+    (gen_arma, ArmaSpec(phi=(0.5,))),
+    (gen_garch, GarchSpec(alpha=(0.1,), beta=(0.8,))),
+    (gen_sv, SvSpec(mu=-9, phi=0.2, sigma=0.01)),
+], ids=["arma", "garch", "sv"])
+@pytest.mark.parametrize("t", [0, -5])
+def test_series_length_below_one_rejected(gen, spec, t):
+    with pytest.raises(ValueError, match="^series length must be positive$"):
+        gen(spec, t, np.random.default_rng(0))
+
 
 class TestGarch:
     def test_unit_variance_and_heavy_tails(self):
