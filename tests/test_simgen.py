@@ -71,12 +71,6 @@ class TestArma:
                                              rf"of modulus {modulus}$"):
             ArmaSpec(phi=phi)
 
-    def test_setting_ar_parts_are_stationary(self):
-        # the largest AR root modulus of the setting is 0.9, so the check passes
-        for spec in arma_setting_specs():
-            roots = np.roots(np.r_[1.0, -np.asarray(spec.phi, dtype=float)])
-            assert roots.size == 0 or np.abs(roots).max() <= 0.9 + 1e-12
-
     def test_non_finite_path_names_the_model(self):
         with pytest.raises(ValueError, match="^ARMA recursion diverged: the generated "
                                              "path is not finite$"):

@@ -8,8 +8,9 @@ thread count, to check that a refactor leaves every fit and every simulated
 input unchanged; the comparison prints the largest absolute difference per
 kind (vector fit, tensor fit or data) and field, with the array that holds
 it and that difference relative to the array's largest |entry|, then every
-fit mode whose sweep count or convergence flag differs.  `compare` exits 0 when every array is bit-identical and 1 when any
-array differs or any sweep count or convergence flag moved.
+fit mode whose sweep count or convergence flag differs.  `compare` exits 0
+when every array is bit-identical and 1 when any array differs or any
+sweep count or convergence flag moved.
 
 Inputs: arma-mc replicates (T = 2000) and sv-mc replicates (T = 8000) of
 seeds 301 and 302, reps 0 and 1, drawn as perfbench draws them (haar
