@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import drot
+from scipy.linalg.blas import ddot, drot
 
 __all__ = ["RankDeficiencyError", "JointDiagResult", "MAX_SWEEPS", "TOL", "joint_diagonalize"]
 
@@ -88,6 +88,7 @@ def joint_diagonalize(ms) -> JointDiagResult:
     # place, so the views stay current
     pairs = [(i, j, a[i, :, i], a[j, :, j], a[i, :, j], a[j, :, i], i * k * p, j * k * p)
              for i in range(p - 1) for j in range(i + 1, p)]
+    d, o = np.empty(k), np.empty(k)  # each pair's S_ii - S_jj and S_ij + S_ji, reused
     trace = [_diag_mass(a)]
     sweeps = 0
     converged = p < 2
@@ -97,10 +98,10 @@ def joint_diagonalize(ms) -> JointDiagResult:
         sweeps = sweep + 1
         rotated = False
         for i, j, aii, ajj, aij, aji, row_i, row_j in pairs:
-            d = aii - ajj
-            o = aij + aji
-            ton = np.dot(d, d) - np.dot(o, o)
-            toff = 2.0 * np.dot(d, o)
+            np.subtract(aii, ajj, out=d)
+            np.add(aij, aji, out=o)
+            ton = ddot(d, d) - ddot(o, o)
+            toff = 2.0 * ddot(d, o)
             theta = 0.5 * float(np.arctan2(toff, ton + np.hypot(ton, toff)))
             if abs(theta) <= TOL:
                 continue
