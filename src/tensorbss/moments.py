@@ -42,10 +42,12 @@ def _lag_products(f: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 
 def mode_autocov(f: np.ndarray, lags) -> np.ndarray:
     """Mode lagged covariances (1/rho_m) E[X_t X_{t+tau}^T], one per lag; shape (K, p_m, p_m)."""
-    t, _, rho = f.shape
+    t, p, rho = f.shape
     _check_lags(lags, t)
-    return np.stack([np.tensordot(f[:t - tau], f[tau:], axes=([0, 2], [0, 2]))
-                     / ((t - tau) * rho) for tau in lags])
+    # g[:, s rho + r] = f[s, :, r], so the frames t < T - tau and t >= tau are two column runs
+    g = np.ascontiguousarray(f.transpose(1, 0, 2)).reshape(p, t * rho)
+    return np.stack([g[:, :(t - tau) * rho] @ g[:, tau * rho:].T / ((t - tau) * rho)
+                     for tau in lags])
 
 
 def mode_b_tau(f: np.ndarray, lags) -> np.ndarray:
@@ -53,6 +55,12 @@ def mode_b_tau(f: np.ndarray, lags) -> np.ndarray:
     t, p, rho = f.shape
     _check_lags(lags, t)
     out = np.empty((len(lags), p, p))
+    if rho == 1:  # a vector series: H_t^T H_t = |x_{t+tau}|^2 x_t x_t^T, a weighted Gram
+        x = f[:, :, 0]
+        norms = np.square(x).sum(axis=1)
+        for k, tau in enumerate(lags):
+            out[k] = (x[:t - tau].T * norms[tau:]) @ x[:t - tau] / (t - tau)
+        return out
     for k, tau in enumerate(lags):
         n = t - tau
         # H_t = X_{t+tau} X_t^T stacked row-wise, so h^T h = sum_t H_t^T H_t
