@@ -54,6 +54,7 @@ class ExperimentSpec:
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
         # plain ints, as manifest.json lists them
+        self.dims = tuple(int(d) for d in self.dims)
         self.lengths = tuple(int(t) for t in self.lengths)
         self.replicates, self.seed = int(self.replicates), int(self.seed)
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
@@ -156,12 +157,14 @@ def _replicate_rng(seed: int, t_index: int, rep: int) -> np.random.Generator:
     return np.random.default_rng([seed, t_index, rep])
 
 
-def _run_replicate(spec: ExperimentSpec, task: tuple) -> dict:
+def _run_replicate(spec: ExperimentSpec, task: tuple) -> tuple:
     """One replicate, `task` = (T index, replicate): simulate, mix, fit, score by MDI.
 
-    Returns the manifest's replicate entry: T, the replicate index, the MDI
-    (or error) per method and, under `not_converged`, the sorted methods
-    whose diagonalizer stopped at the sweep cap on any mode.
+    Returns the manifest's replicate entry (T, the replicate index, the MDI
+    or error per method and, under `not_converged`, the sorted methods
+    whose diagonalizer stopped at the sweep cap on any mode) and, per
+    method that fitted, its `diagnostics["stage_s"]` and its sweeps summed
+    over modes.
     """
     t_index, rep = task
     t = spec.lengths[t_index]
@@ -170,7 +173,7 @@ def _run_replicate(spec: ExperimentSpec, task: tuple) -> dict:
     mats = gen_mixing(spec.dims, spec.mixing, rng)
     xs = mix(zs, mats)
     omega = kron_unmixing(mats)
-    out, capped = {}, []
+    out, capped, stages = {}, [], {}
     for method in spec.methods:
         try:
             res = unmix(xs, method, lags=spec.lags.get(method))
@@ -179,25 +182,33 @@ def _run_replicate(spec: ExperimentSpec, task: tuple) -> dict:
         except Exception as exc:  # record and keep going; excluded from means
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
-        if not all(d["converged"] for d in res.diagnostics["joint_diag"]):
+        modes = res.diagnostics["joint_diag"]
+        stages[method] = res.diagnostics["stage_s"], sum(d["sweeps_used"] for d in modes)
+        if not all(d["converged"] for d in modes):
             capped.append(method)
-    return {"T": t, "replicate": rep, "mdi": out, "not_converged": sorted(capped)}
+    return {"T": t, "replicate": rep, "mdi": out, "not_converged": sorted(capped)}, stages
 
 
 def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
     """Run all replicates and return the manifest dictionary.
 
     Replicates are independent seeded tasks, so results do not depend on
-    `jobs` or scheduling order.
+    `jobs` or scheduling order.  `stage_s` holds, per method, the seconds of
+    each fit stage (`unmix`'s `diagnostics["stage_s"]`) and the diagonalizer
+    sweeps, each summed over the fits that succeeded.
     """
     if jobs < 1:
         raise ValueError(f"jobs: expected an integer >= 1, got {jobs}")
     start = time.time()
     tasks = [(ti, rep) for ti in range(len(spec.lengths)) for rep in range(spec.replicates)]
     replicates = []
+    stage_s = {m: {} for m in spec.methods}
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for entry in (pool.map if pool else map)(partial(_run_replicate, spec), tasks):
+        for entry, stages in (pool.map if pool else map)(partial(_run_replicate, spec), tasks):
             replicates.append(entry)
+            for method, (seconds, sweeps) in stages.items():
+                for key, value in (*seconds.items(), ("sweeps", sweeps)):
+                    stage_s[method][key] = stage_s[method].get(key, 0) + value
             if progress:
                 progress(len(replicates), len(tasks))
     aggregates = []
@@ -220,6 +231,7 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
         "seed": spec.seed,
         "library_version": __version__,
         "wall_clock_seconds": time.time() - start,
+        "stage_s": stage_s,
         "replicates": replicates,
         "aggregates": aggregates,
     }

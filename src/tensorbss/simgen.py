@@ -106,9 +106,14 @@ def _standardize(path: np.ndarray, model: str, center: bool) -> np.ndarray:
     x = path[BURN_IN:]
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{model} recursion diverged: the generated path is not finite")
-    if center:
-        x = x - x.mean()
-    sd = x.std()
+    try:
+        with np.errstate(over="raise"):
+            if center:
+                x = x - x.mean()
+            sd = x.std()
+    except FloatingPointError:
+        raise ValueError(f"{model} path too large to standardize: its variance "
+                         f"overflows") from None
     if sd == 0:
         raise ValueError("degenerate (constant) generated series")
     return x / sd
@@ -207,13 +212,22 @@ SETTINGS = {"arma": arma_setting_specs, "sv": sv_setting_specs}
 _GENERATORS = {ArmaSpec: "gen_arma", GarchSpec: "gen_garch", SvSpec: "gen_sv"}
 
 
+def _frame_dims(dims) -> tuple:
+    """`dims` as a tuple of ints, checked to be integers (numpy's too) >= 1."""
+    dims = tuple(dims)
+    if not all(isinstance(d, (int, np.integer)) for d in dims):
+        raise ValueError(f"dims {dims}: every size must be an integer")
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"dims {dims}: every size must be >= 1")
+    return dims
+
+
 def setting_specs(setting: str, dims=DEFAULT_DIMS) -> list:
     """The component models of a known `setting`, checked to fill `dims` one per cell."""
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}; expected one of {sorted(SETTINGS)}")
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"dims {dims}: every size must be >= 1")
+    dims = _frame_dims(dims)
     specs = SETTINGS[setting]()
     if int(np.prod(dims)) != len(specs):
         raise ValueError(f"dims {dims} hold {int(np.prod(dims))} cells, "
@@ -244,8 +258,7 @@ def gen_mixing(dims, kind: str, rng: np.random.Generator) -> list:
         raise ValueError(f"unknown mixing kind {kind!r}; "
                          f"expected {' or '.join(map(repr, MIXING_KINDS))}")
     mats = []
-    for p in dims:
-        p = int(p)
+    for p in _frame_dims(dims):
         if kind == "gaussian":
             a = rng.standard_normal((p, p))
             while np.linalg.cond(a) > MAX_MIXING_COND:

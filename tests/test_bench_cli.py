@@ -13,7 +13,9 @@ from tensorbss.bench import (
     summary_csv,
     write_manifest,
 )
+from tensorbss.bss import unmix
 from tensorbss.cli import main, read_matrices, write_matrices
+from tensorbss.simgen import gen_latent_setting, gen_mixing, mix
 from tensorbss.tensor import read_series, write_series
 
 from oracles import pj_distance
@@ -95,11 +97,20 @@ class TestSpecParsing:
 
     def test_numpy_integers_accepted(self, tmp_path):
         spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(np.int64(200),),
-                              methods=("tfobi",), replicates=np.int32(2), seed=np.uint8(3))
+                              methods=("tfobi",), replicates=np.int32(2), seed=np.uint8(3),
+                              dims=(np.int64(3), 2, np.int32(2)))
         write_manifest(run_benchmark(spec), tmp_path / "manifest.json")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [r["T"] for r in manifest["replicates"]] == [200, 200]
         assert manifest["seed"] == 3 and manifest["spec"]["replicates"] == 2
+        assert manifest["spec"]["dims"] == [3, 2, 2]
+
+    def test_non_integer_size_rejected(self):
+        # (3, 2, 2.7) used to run on 3x2x2 frames while the manifest listed 2.7
+        with pytest.raises(ValueError, match=r"^dims \(3, 2, 2\.7\): every size must be "
+                                             r"an integer$"):
+            ExperimentSpec(setting="arma", mixing="haar", dims=(3, 2, 2.7), lengths=(200,),
+                           methods=("tfobi",))
 
     @pytest.mark.parametrize("old,new,want", [
         ("methods = tsobi, tfobi", "method = tsobi", "['method']"),
@@ -242,6 +253,7 @@ class TestRunBenchmark:
         assert np.isnan(agg["mean_mdi"])
         rep = manifest["replicates"][0]["mdi"]["tsobi"]
         assert isinstance(rep, dict) and "error" in rep
+        assert manifest["stage_s"] == {"tsobi": {}}  # no fit succeeded, nothing summed
 
     def test_sweep_capped_fits_recorded(self):
         # vector gfobi on Gaussian ARMA is unidentified; this replicate's
@@ -253,6 +265,23 @@ class TestRunBenchmark:
         counts = {row["method"]: (row["n_ok"], row["n_not_converged"])
                   for row in manifest["aggregates"]}
         assert counts == {"tsobi": (1, 0), "gfobi": (1, 1)}
+
+    def test_manifest_sums_stage_times_and_sweeps(self):
+        spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
+                              methods=("tsobi", "gfobi"), replicates=2, seed=0)
+        manifest = run_benchmark(spec)
+        sweeps = dict.fromkeys(spec.methods, 0)
+        for rep in range(2):
+            rng = np.random.default_rng([0, 0, rep])  # the harness's split rule
+            zs = gen_latent_setting("arma", 200, rng)
+            xs = mix(zs, gen_mixing(zs.shape[1:], "haar", rng))
+            for m in spec.methods:
+                sweeps[m] += sum(d["sweeps_used"] for d in unmix(xs, m).diagnostics["joint_diag"])
+        assert list(manifest["stage_s"]) == ["tsobi", "gfobi"]
+        for method, sums in manifest["stage_s"].items():
+            assert list(sums) == ["whiten", "moments", "joint_diag", "assemble", "sweeps"]
+            assert all(v > 0 for v in sums.values())
+            assert sums["sweeps"] == sweeps[method]
 
 
 class TestCliSimulate:

@@ -384,6 +384,29 @@ class TestGJadeSets:
                 builder(series_flatten(xs, 2), (0, 12, 3))
 
 
+class TestVectorBranches:
+    """mode_b_tau's weighted Gram for rho = 1 against its general per-lag
+    products, and mode_autocov's GEMMs at rho = 1 against rho = 2: a zero
+    column along rho keeps every sum and doubles the 1/rho divisor."""
+
+    @pytest.mark.parametrize("builder", [moments.mode_autocov, moments.mode_b_tau])
+    @pytest.mark.parametrize("lags", [(0, 1, 3), tuple(range(13))])
+    @pytest.mark.parametrize("p", [1, 5, 12])
+    def test_rho_one_matches_the_general_path(self, builder, lags, p):
+        f = series_flatten(np.random.default_rng(45).standard_normal((200, p)), 1)
+        f2 = np.concatenate([f, np.zeros_like(f)], axis=2)
+        assert f.shape == (200, p, 1) and f2.shape == (200, p, 2)
+        assert np.abs(2.0 * builder(f2, lags) - builder(f, lags)).max() < 1e-13
+
+    @pytest.mark.parametrize("dims,mode", [((5,), 1), ((3, 2, 2), 2)])
+    def test_autocov_at_the_last_lag(self, dims, mode):
+        # one summand: X_0 X_{T-1}^T / rho
+        xs = np.random.default_rng(46).standard_normal((30,) + dims)
+        f = series_flatten(xs, mode)
+        want = f[0] @ f[-1].T / f.shape[2]
+        assert np.abs(moments.mode_autocov(f, (29,))[0] - want).max() < 1e-15
+
+
 class TestStructuralInvariants:
     def test_order1_mode_functionals_reduce_to_vector(self):
         xs = rng.standard_normal((25, 4))

@@ -1,5 +1,7 @@
 """Generator sanity checks: marginals, dependence signatures, mixing draws."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,14 @@ class TestArma:
         with pytest.raises(ValueError, match="^ARMA recursion diverged: the generated "
                                              "path is not finite$"):
             gen_arma(ArmaSpec(theta=(1e308,) * 5), 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("theta", [(1e308, 1e308), (1e300,)], ids=["mean", "variance"])
+    def test_finite_path_too_large_to_standardize_names_the_model(self, theta):
+        # finite, but its mean or its variance overflows: an error, not an
+        # overflow warning and a NaN series
+        with pytest.raises(ValueError, match="^ARMA path too large to standardize: its "
+                                             "variance overflows$"):
+            gen_arma(ArmaSpec(theta=theta), 10, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("gen,spec", [
@@ -172,6 +182,18 @@ class TestSettings:
         with pytest.raises(ValueError, match=r"^dims \(-3, -2, 2\): every size must be >= 1$"):
             gen_latent_setting("arma", 100, np.random.default_rng(11), dims=(-3, -2, 2))
 
+    @pytest.mark.parametrize("dims", [(3, 2, 2.7), (3.0, 2, 2), (3, "2", 2)])
+    def test_non_integer_sizes_rejected(self, dims):
+        # such a size used to be truncated, so (3, 2, 2.7) ran on 3x2x2 frames
+        with pytest.raises(ValueError, match=rf"^dims {re.escape(str(dims))}: every size "
+                                             rf"must be an integer$"):
+            gen_latent_setting("arma", 100, np.random.default_rng(11), dims=dims)
+
+    def test_numpy_integer_sizes_accepted(self):
+        dims = tuple(np.int64(d) for d in (3, 2, 2))
+        assert gen_latent_setting("arma", 100, np.random.default_rng(11), dims=dims).shape \
+            == (100, 3, 2, 2)
+
 
 class TestMixing:
     def test_haar_matrices_are_orthogonal(self):
@@ -191,6 +213,10 @@ class TestMixing:
         rng = np.random.default_rng(14)
         vals = [gen_mixing((4,), "haar", rng)[0][0, 0] for _ in range(2000)]
         assert abs(np.mean(vals)) < 0.05
+
+    def test_non_integer_size_rejected(self):
+        with pytest.raises(ValueError, match=r"^dims \(3, 2\.5\): every size must be an integer$"):
+            gen_mixing((3, 2.5), "haar", np.random.default_rng(12))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
