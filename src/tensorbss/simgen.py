@@ -112,8 +112,8 @@ def _standardize(path: np.ndarray, model: str, center: bool) -> np.ndarray:
                 x = x - x.mean()
             sd = x.std()
     except FloatingPointError:
-        raise ValueError(f"{model} path too large to standardize: its variance "
-                         f"overflows") from None
+        raise ValueError(f"{model} path too large to standardize: its mean or "
+                         f"variance overflows") from None
     if sd == 0:
         raise ValueError("degenerate (constant) generated series")
     return x / sd

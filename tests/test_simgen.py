@@ -83,7 +83,7 @@ class TestArma:
         # finite, but its mean or its variance overflows: an error, not an
         # overflow warning and a NaN series
         with pytest.raises(ValueError, match="^ARMA path too large to standardize: its "
-                                             "variance overflows$"):
+                                             "mean or variance overflows$"):
             gen_arma(ArmaSpec(theta=theta), 10, np.random.default_rng(0))
 
 

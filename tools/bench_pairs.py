@@ -28,6 +28,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,7 +119,8 @@ def main(argv=None) -> int:
                          "pairs; quartiles are statistics.quantiles(n=4, method='inclusive') "
                          "over the runs of a side"),
             "machine": (f"{os.cpu_count()} cores, one BLAS thread (perfbench/run.py pins "
-                        f"it), Python {platform.python_version()}"),
+                        f"it), Python {platform.python_version()}, numpy {version('numpy')}, "
+                        f"scipy {version('scipy')}"),
         }
         if (doc["parent"], doc["change"]) != (revs["parent"], revs["change"]):
             raise SystemExit(f"{out_path.name} holds {doc['parent']} vs {doc['change']}, "
