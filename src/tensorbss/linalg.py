@@ -77,17 +77,20 @@ def joint_diagonalize(ms) -> JointDiagResult:
         lam, v = lam[:-n - 1:-1], v[:, :-n - 1:-1]  # top n, largest first
         a = (v * np.sqrt(np.maximum(lam, 0.0))).T.reshape(n, p, p)
         k = n
-    # symmetrized into a (p, K, p) layout, a[r, k, c] = S_k[r, c]: rows i and j of
-    # all K matrices are one contiguous run each, columns i and j one stride-p run
-    a = np.add(a.transpose(1, 0, 2), a.transpose(2, 0, 1), out=np.empty((p, k, p)))
+    # symmetrized into slots 0..K-1 of a (p, K+1, p) layout, a[r, k, c] = S_k[r, c],
+    # with U in slot K: rows i and j of the K matrices are one contiguous run
+    # each, and columns i and j of the K matrices and of U one stride-p run each
+    au = np.empty((p, k + 1, p))
+    a = np.add(a.transpose(1, 0, 2), a.transpose(2, 0, 1), out=au[:, :k])
     a *= 0.5
-    u = np.eye(p)
-    fa, fu = a.reshape(-1), u.reshape(-1)  # flat views that `drot` rotates in place
+    u = au[:, k]
+    u[...] = np.eye(p)
+    fa = au.reshape(-1)  # the flat view that `drot` rotates in place
     # per pair (i, j): the K-length runs S_k[i, i], S_k[j, j], S_k[i, j],
     # S_k[j, i], and the offsets of rows i and j in `fa`; `drot` writes in
     # place, so the views stay current
-    pairs = [(i, j, a[i, :, i], a[j, :, j], a[i, :, j], a[j, :, i], i * k * p, j * k * p)
-             for i in range(p - 1) for j in range(i + 1, p)]
+    pairs = [(i, j, a[i, :, i], a[j, :, j], a[i, :, j], a[j, :, i], i * (k + 1) * p,
+              j * (k + 1) * p) for i in range(p - 1) for j in range(i + 1, p)]
     d, o = np.empty(k), np.empty(k)  # each pair's S_ii - S_jj and S_ij + S_ji, reused
     trace = [_diag_mass(a)]
     sweeps = 0
@@ -108,10 +111,9 @@ def joint_diagonalize(ms) -> JointDiagResult:
             rotated = True
             c, s = math.cos(theta), math.sin(theta)
             # x_i <- c x_i + s x_j, x_j <- c x_j - s x_i (args n, offx, incx, offy, incy):
-            # the set's columns i and j, then its rows i and j, then U's columns
-            drot(fa, fa, c, s, p * k, i, p, j, p, 1, 1)
+            # columns i and j of the set and of U, then rows i and j of the set
+            drot(fa, fa, c, s, p * (k + 1), i, p, j, p, 1, 1)
             drot(fa, fa, c, s, p * k, row_i, 1, row_j, 1, 1, 1)
-            drot(fu, fu, c, s, p, i, p, j, p, 1, 1)
         trace.append(_diag_mass(a))
         converged = not rotated
     # deterministic order/sign convention: descending diagonal of U^T M_1 U
