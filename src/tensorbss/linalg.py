@@ -105,7 +105,7 @@ def joint_diagonalize(ms) -> JointDiagResult:
             np.add(aij, aji, out=o)
             ton = ddot(d, d) - ddot(o, o)
             toff = 2.0 * ddot(d, o)
-            theta = 0.5 * float(np.arctan2(toff, ton + np.hypot(ton, toff)))
+            theta = 0.5 * math.atan2(toff, ton + math.hypot(ton, toff))
             if abs(theta) <= TOL:
                 continue
             rotated = True
