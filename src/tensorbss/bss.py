@@ -35,6 +35,7 @@ __all__ = [
 
 DEFAULT_SOBI_LAGS = tuple(range(1, 13))
 DEFAULT_G_LAGS = tuple(range(0, 13))
+STALL_GAIN = 1e-8  # relative objective gain per sweep below which a fit has stalled
 
 # method name -> (the `moments` builder of a mode's (K, p, p) matrix set,
 # tensor path?, default lags).  `unmix` looks the builder up on `moments` at
@@ -126,7 +127,10 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
     mode's lag matrices (`joint_diagonalize`) and assembles Gamma^m = U_m^T W_m.
     Vector methods applied to tensor input operate on the vectorized frames.
     `diagnostics["stage_s"]` holds the seconds spent in each stage (`whiten`,
-    `moments`, `joint_diag`, `assemble`), summed over modes.
+    `moments`, `joint_diag`, `assemble`), summed over modes.  Per mode,
+    `diagnostics["joint_diag"]` holds the diagonalizer's objective, sweeps,
+    convergence flag, matrix counts and `stall_sweep`, the first sweep whose
+    relative objective gain fell below `STALL_GAIN` (None when none did).
     """
     lags = method_lags(method, lags)
     builder, tensor_path, _ = METHOD_NAMES[method]
@@ -156,7 +160,8 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
         gammas.append(res.rotation.T @ w)
         diag_info.append({"objective": res.objective, "sweeps_used": res.sweeps_used,
                           "converged": res.converged, "matrices": len(mats),
-                          "matrices_diagonalized": res.matrices_diagonalized})
+                          "matrices_diagonalized": res.matrices_diagonalized,
+                          "stall_sweep": _stall_sweep(res.objective_trace)})
         t4 = perf_counter()
         stage_s["moments"] += t2 - t1
         stage_s["joint_diag"] += t3 - t2
@@ -171,6 +176,12 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
         recovered=recovered,
         diagnostics={"joint_diag": diag_info, "stage_s": stage_s},
     )
+
+
+def _stall_sweep(trace: list):
+    # the first sweep s with trace[s] - trace[s - 1] < STALL_GAIN * trace[s - 1]
+    return next((s for s in range(1, len(trace))
+                 if trace[s] - trace[s - 1] < STALL_GAIN * trace[s - 1]), None)
 
 
 def apply_unmixing(xs: np.ndarray, result: UnmixingResult) -> np.ndarray:

@@ -132,6 +132,11 @@ def cmd_evaluate(args) -> int:
         if sizes[0] not in (sizes[1], [cells]):
             raise ValueError(f"unmixer sizes {sizes[0]} do not match the mixing's per-mode "
                              f"sizes {sizes[1]} (or one block of size {cells})")
+        # each block times the power of two that brings its largest |entry| into
+        # [0.5, 1): exact, and MDI is scale-free per row, so the score is the same
+        # while the Kronecker products can no longer overflow or underflow
+        gammas, mats = ([np.ldexp(a, -np.frexp(np.abs(a).max(initial=0.0))[1]) for a in ms]
+                        for ms in (gammas, mats))
         result = mdi(kron_unmixing(gammas), kron_unmixing(mats))
         print(f"mdi={result.value:.12g}")
         print("assignment=" + ",".join(str(v + 1) for v in result.assignment))

@@ -50,6 +50,12 @@ def joint_diagonalize(ms) -> JointDiagResult:
     nonzero eigenmatrices.  `objective` and `objective_trace` are taken on the
     set that is rotated.
 
+    Each pair's angle is taken with `math.atan2`/`math.hypot` on the Python
+    floats that BLAS `ddot` returns, and its rotation is two BLAS `drot`
+    calls: U sits in slot K of the (p, K+1, p) set, so one call rotates
+    columns i and j of every matrix and of U, the other rows i and j of the
+    K matrices.
+
     The columns of the returned rotation are ordered by descending diagonal
     of U^T M_1 U and signed so that each column's largest-magnitude entry
     is positive.

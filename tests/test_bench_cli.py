@@ -340,6 +340,8 @@ class TestCliUnmix:
         assert all(d["converged"] for d in diag["diagnostics"]["joint_diag"])
         assert [(d["matrices"], d["matrices_diagonalized"])
                 for d in diag["diagnostics"]["joint_diag"]] == [(12, 6), (12, 3), (12, 3)]
+        assert all(1 <= d["stall_sweep"] <= d["sweeps_used"]
+                   for d in diag["diagnostics"]["joint_diag"])
         stage_s = diag["diagnostics"]["stage_s"]
         assert list(stage_s) == ["whiten", "moments", "joint_diag", "assemble"]
         assert all(v >= 0.0 for v in stage_s.values())
@@ -405,6 +407,22 @@ class TestCliEvaluate:
                      "--mixing", str(tmp_path / "mixing.txt")]) == 0
         out = capsys.readouterr().out
         assert float(out.split("\n")[0].removeprefix("mdi=")) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e120, 1e-120])
+    def test_exact_inverse_at_extreme_scale_scores_zero(self, tmp_path, capsys, scale):
+        # every block is finite, but the Kronecker products of the 3x2x2
+        # blocks (scale^3 and scale^-3) overflow and underflow
+        rng = np.random.default_rng(7)
+        mats = [scale * rng.standard_normal((p, p)) for p in (3, 2, 2)]
+        write_matrices(tmp_path / "mixing.txt", mats)
+        write_matrices(tmp_path / "unmixers.txt", [np.linalg.inv(a) for a in mats])
+        assert main(["evaluate", "--unmixers", str(tmp_path / "unmixers.txt"),
+                     "--mixing", str(tmp_path / "mixing.txt")]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.split("\n")
+        assert float(lines[0].removeprefix("mdi=")) < 1e-12
+        assert lines[1] == "assignment=" + ",".join(str(k) for k in range(1, 13))
+        assert captured.err == ""
 
     def test_swapped_mode_sizes_are_usage_error(self, tmp_path, capsys):
         # the Kronecker products are both 6x6, so only the per-mode sizes tell

@@ -306,6 +306,30 @@ class TestMethodTable:
         info = unmix(xs, method).diagnostics["joint_diag"]
         assert [(d["matrices"], d["matrices_diagonalized"]) for d in info] == counts
 
+    def test_stall_sweep_of_a_capped_fit(self):
+        # vector gfobi cannot separate Gaussian ARMA sources: this fit runs to
+        # the sweep cap although its objective stopped gaining long before
+        rng = _replicate_rng(0, 0, 0)
+        zs = gen_latent_setting("arma", 1000, rng)
+        xs = mix(zs, gen_mixing(zs.shape[1:], "haar", rng))
+        (d,) = unmix(xs, "gfobi").diagnostics["joint_diag"]
+        assert (d["sweeps_used"], d["converged"]) == (100, False)
+        assert 1 <= d["stall_sweep"] <= 30
+
+    def test_stall_sweep_of_a_zero_sweep_fit(self):
+        # a mode of size 1 needs no rotation, so its trace has no gain to read
+        xs = np.random.default_rng(3).standard_normal((200, 4, 1))
+        info = unmix(xs, "tsobi").diagnostics["joint_diag"]
+        assert (info[1]["sweeps_used"], info[1]["stall_sweep"]) == (0, None)
+        assert 1 <= info[0]["stall_sweep"] <= info[0]["sweeps_used"]
+
+    @pytest.mark.parametrize("trace,want", [([5.0], None), ([1.0, 2.0, 3.0], None),
+                                            ([1.0, 2.0, 2.0 + 1e-8, 3.0], 2),
+                                            ([1.0, 2.0, 2.0 + 3e-8], None),
+                                            ([0.0, 0.0], None)])
+    def test_stall_sweep_reads_the_relative_gain(self, trace, want):
+        assert bss._stall_sweep(trace) == want
+
     def test_mixed_case_name_rejected_everywhere(self, tmp_path, capsys):
         xs = np.random.default_rng(53).standard_normal((300, 3, 2, 2))
         with pytest.raises(ValueError, match="unknown method 'TSOBI'"):

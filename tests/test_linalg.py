@@ -124,11 +124,12 @@ class TestJointDiagonalize:
             joint_diagonalize(ms)
 
     @pytest.mark.parametrize("p", [2, 5, 12])
-    @pytest.mark.parametrize("size", ["one", "below", "above"])
+    @pytest.mark.parametrize("size", ["one", "below", "boundary", "above"])
     def test_matches_textbook_jacobi(self, p, size):
-        # one matrix, and K below and above p(p+1)/2, the dimension of the
-        # symmetric p x p matrices
-        k = {"one": 1, "below": 2, "above": p * (p + 1) // 2 + 3}[size]
+        # one matrix, and K below, at and above p(p+1)/2, the dimension of the
+        # symmetric p x p matrices (at it, the largest set left uncompressed)
+        n = p * (p + 1) // 2
+        k = {"one": 1, "below": 2, "boundary": n, "above": n + 3}[size]
         ms = np.random.default_rng([p, k]).standard_normal((k, p, p))
         res = joint_diagonalize(ms)
         u, sweeps, converged = naive_jacobi(ms, linalg.TOL, linalg.MAX_SWEEPS)
