@@ -21,7 +21,14 @@ from .linalg import (  # noqa: F401
     RankDeficiencyError,
     joint_diagonalize,
 )
-from .metrics import MdiValue, kron_unmixing, kurtosis_rank, max_abs_correlations, mdi  # noqa: F401
+from .metrics import (  # noqa: F401
+    MdiValue,
+    kron_unmixing,
+    kurtosis_rank,
+    max_abs_correlations,
+    mdi,
+    mode_mdi,
+)
 from .simgen import gen_latent_setting, gen_mixing, mix  # noqa: F401
 from .tensor import (  # noqa: F401
     m_flatten,

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .bss import method_lags, unmix
-from .metrics import kron_unmixing, mdi
+from .metrics import mode_mdi
 from .simgen import (DEFAULT_DIMS, MIXING_KINDS, gen_latent_setting, gen_mixing, mix,
                      setting_specs)
 
@@ -172,13 +172,11 @@ def _run_replicate(spec: ExperimentSpec, task: tuple) -> tuple:
     zs = gen_latent_setting(spec.setting, t, rng, dims=spec.dims)
     mats = gen_mixing(spec.dims, spec.mixing, rng)
     xs = mix(zs, mats)
-    omega = kron_unmixing(mats)
     out, capped, stages = {}, [], {}
     for method in spec.methods:
         try:
             res = unmix(xs, method, lags=spec.lags.get(method))
-            gamma = kron_unmixing(res.mode_unmixers)
-            out[method] = mdi(gamma, omega).value
+            out[method] = mode_mdi(res.mode_unmixers, mats).value
         except Exception as exc:  # record and keep going; excluded from means
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
             continue

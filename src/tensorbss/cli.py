@@ -17,7 +17,7 @@ from . import __version__
 from .bench import (_parse_ints, _parse_lags, parse_experiment_spec, run_benchmark,
                     summary_csv, write_manifest)
 from .bss import METHOD_NAMES, RankDeficiencyError, method_lags, unmix
-from .metrics import kron_unmixing, kurtosis_rank, max_abs_correlations, mdi
+from .metrics import kurtosis_rank, max_abs_correlations, mode_mdi
 from .simgen import DEFAULT_DIMS, MIXING_KINDS, SETTINGS, gen_latent_setting, gen_mixing, mix
 from .tensor import read_series, series_components, write_series
 
@@ -124,20 +124,7 @@ def cmd_evaluate(args) -> int:
     if args.targets and not args.recovered:
         raise ValueError("evaluate --targets needs --recovered")
     if args.mixing:
-        gammas = read_matrices(args.unmixers)
-        mats = read_matrices(args.mixing)
-        # per mode, or one block on the vectorized frames from a vector method
-        sizes = [[len(a) for a in ms] for ms in (gammas, mats)]
-        cells = int(np.prod(sizes[1]))
-        if sizes[0] not in (sizes[1], [cells]):
-            raise ValueError(f"unmixer sizes {sizes[0]} do not match the mixing's per-mode "
-                             f"sizes {sizes[1]} (or one block of size {cells})")
-        # each block times the power of two that brings its largest |entry| into
-        # [0.5, 1): exact, and MDI is scale-free per row, so the score is the same
-        # while the Kronecker products can no longer overflow or underflow
-        gammas, mats = ([np.ldexp(a, -np.frexp(np.abs(a).max(initial=0.0))[1]) for a in ms]
-                        for ms in (gammas, mats))
-        result = mdi(kron_unmixing(gammas), kron_unmixing(mats))
+        result = mode_mdi(read_matrices(args.unmixers), read_matrices(args.mixing))
         print(f"mdi={result.value:.12g}")
         print("assignment=" + ",".join(str(v + 1) for v in result.assignment))
         return 0

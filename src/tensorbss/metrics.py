@@ -12,7 +12,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .tensor import series_components
 
-__all__ = ["MdiValue", "kron_unmixing", "mdi", "max_abs_correlations", "kurtosis_rank"]
+__all__ = ["MdiValue", "kron_unmixing", "mdi", "mode_mdi", "max_abs_correlations",
+           "kurtosis_rank"]
 
 
 @dataclass
@@ -63,6 +64,26 @@ def mdi(gamma_hat: np.ndarray, omega: np.ndarray) -> MdiValue:
     s_star = scores[rows, cols].sum()
     value = np.sqrt(max(p - s_star, 0.0) / (p - 1))
     return MdiValue(value=float(value), assignment=assignment)
+
+
+def mode_mdi(gammas, mats) -> MdiValue:
+    """MDI of fitted unmixers against per-mode mixing matrices.
+
+    `gammas` holds one unmixer per mode, or one block acting on the
+    vectorized frames (a vector method's fit).  Each matrix is first
+    multiplied by the power of two that brings its largest |entry| into
+    [0.5, 1): that is exact, and MDI is scale-free per row, so the score is
+    that of the plain Kronecker products while those can no longer
+    overflow or underflow.
+    """
+    sizes = [[len(a) for a in ms] for ms in (gammas, mats)]
+    cells = int(np.prod(sizes[1]))
+    if sizes[0] not in (sizes[1], [cells]):
+        raise ValueError(f"unmixer sizes {sizes[0]} do not match the mixing's per-mode "
+                         f"sizes {sizes[1]} (or one block of size {cells})")
+    gammas, mats = ([np.ldexp(a, -np.frexp(np.abs(a).max(initial=0.0))[1]) for a in ms]
+                    for ms in (gammas, mats))
+    return mdi(kron_unmixing(gammas), kron_unmixing(mats))
 
 
 def max_abs_correlations(recovered: np.ndarray, targets) -> list:

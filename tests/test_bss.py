@@ -30,6 +30,13 @@ def ar1_pair(t, rng, phis=(0.9, -0.9)):
     ])
 
 
+def series_with_covariance(root, t=64, seed=0):
+    """A centered (t, p) series whose covariance is exactly root @ root."""
+    z = np.random.default_rng(seed).standard_normal((t, len(root)))
+    q, _ = np.linalg.qr(z - z.mean(axis=0))
+    return np.sqrt(t) * q @ root
+
+
 class TestWhitening:
     def test_vector_whitened_covariance_is_identity(self):
         rng = np.random.default_rng(0)
@@ -100,6 +107,33 @@ class TestWhitening:
     def test_one_dimensional_series_rejected(self):
         with pytest.raises(ValueError, match=r"series of shape \(T, p_1"):
             whiten(np.zeros(10))
+
+    # the symmetric inverse square root of a mode covariance, computed from the series
+    def test_identity(self):
+        _, (w,) = whiten(series_with_covariance(np.eye(3)))
+        assert np.allclose(w, np.eye(3), atol=1e-14)
+
+    def test_analytic_diagonal(self):
+        _, (w,) = whiten(series_with_covariance(np.diag([2.0, 3.0])))
+        assert np.allclose(w, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
+
+    def test_random_spd(self):
+        r = np.random.default_rng(7)
+        xs = r.standard_normal((300, 5)) @ r.standard_normal((5, 5))
+        xs -= xs.mean(axis=0)
+        s = xs.T @ xs / len(xs)
+        _, (w,) = whiten(xs)
+        assert np.abs(w - w.T).max() < 1e-10
+        assert np.allclose(w @ s @ w, np.eye(5), atol=1e-8)
+        lam, q = np.linalg.eigh(s)
+        assert np.allclose(w, (q / np.sqrt(lam)) @ q.T, atol=1e-8)
+
+    def test_rank_deficiency_reports_ratio(self):
+        xs = np.random.default_rng(5).standard_normal((200, 2)) * np.array([1.0, 1e-15])
+        with pytest.raises(RankDeficiencyError, match="ratio"):
+            whiten(xs - xs.mean(axis=0))
+        with pytest.raises(RankDeficiencyError, match="ratio 0.000e"):
+            whiten(np.random.default_rng(6).standard_normal((3, 5)))  # fewer rows than p
 
 
 class TestVectorMethods:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tensorbss.bss import apply_unmixing, unmix
-from tensorbss.metrics import kron_unmixing, kurtosis_rank, max_abs_correlations, mdi
+from tensorbss.metrics import (kron_unmixing, kurtosis_rank, max_abs_correlations, mdi,
+                               mode_mdi)
 from tensorbss.simgen import gen_latent_setting, gen_mixing, mix
 from tensorbss.tensor import series_components
 
@@ -96,6 +97,30 @@ class TestKronUnmixing:
     def test_rejects_non_square_factor(self):
         with pytest.raises(ValueError):
             kron_unmixing([np.eye(2), np.ones((2, 3))])
+
+
+class TestModeMdi:
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_per_mode_unmixers_at_extreme_scale(self, scale):
+        # every block is finite, but the Kronecker product of the 3x2x2
+        # unmixers (scale^3) overflows or underflows
+        rng = np.random.default_rng(11)
+        mats = [rng.standard_normal((p, p)) for p in (3, 2, 2)]
+        gammas = [np.linalg.qr(rng.standard_normal((p, p)))[0] @ np.linalg.inv(a)
+                  for p, a in zip((3, 2, 2), mats)]
+        want = mdi(kron_unmixing(gammas), kron_unmixing(mats))
+        got = mode_mdi([scale * g for g in gammas], mats)
+        assert want.value > 0.1
+        assert abs(got.value - want.value) <= 1e-12
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+
+    def test_one_block_covers_the_frame(self):
+        rng = np.random.default_rng(12)
+        mats = [rng.standard_normal((p, p)) for p in (3, 2)]
+        assert mode_mdi([np.linalg.inv(np.kron(mats[1], mats[0]))], mats).value < 1e-12
+        with pytest.raises(ValueError, match=r"^unmixer sizes \[3\] do not match the "
+                           r"mixing's per-mode sizes \[3, 2\] \(or one block of size 6\)$"):
+            mode_mdi([np.linalg.inv(mats[0])], mats)
 
 
 class TestMaxAbsCorrelations:
