@@ -22,6 +22,11 @@ __all__ = ["ExperimentSpec", "parse_experiment_spec", "run_benchmark", "SUMMARY_
 SUMMARY_HEADER = "setting,mixing,method,T,mean_mdi,se_mdi,n_ok"
 
 
+def _is_int(v) -> bool:
+    """Whether `v` is an int or numpy integer; a bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentSpec:
     """One benchmark configuration: setting x mixing x T-grid x methods."""
@@ -44,14 +49,14 @@ class ExperimentSpec:
             raise ValueError("methods: expected at least one method")
         if not self.lengths:
             raise ValueError("lengths: expected at least one series length")
-        bad = [t for t in self.lengths if not isinstance(t, (int, np.integer))]
+        bad = [t for t in self.lengths if not _is_int(t)]
         if bad:
             raise ValueError(f"lengths: expected integers, got {bad[0]!r}")
-        if not isinstance(self.replicates, (int, np.integer)):
+        if not _is_int(self.replicates):
             raise ValueError(f"replicates: expected an integer, got {self.replicates!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
         # plain ints, as manifest.json lists them
         self.dims = tuple(int(d) for d in self.dims)

@@ -57,8 +57,9 @@ METHOD_NAMES = {
 def method_lags(name: str, lags=None) -> tuple:
     """The sorted lag set that method `name` fits with: its default, or `lags`.
 
-    Lags are non-negative integers (numpy integers too).  A method whose
-    default set is {0} takes only {0}; one whose default has no 0 takes no 0.
+    Lags are non-negative integers (numpy integers too, bools not).  A
+    method whose default set is {0} takes only {0}; one whose default has
+    no 0 takes no 0.
     """
     if name not in METHOD_NAMES:
         raise ValueError(f"unknown method {name!r}; expected one of {sorted(METHOD_NAMES)}")
@@ -68,7 +69,7 @@ def method_lags(name: str, lags=None) -> tuple:
     if isinstance(lags, (str, bytes)) or not np.iterable(lags):
         raise ValueError(f"lag set must be a collection of integers, got {lags!r}")
     lags = tuple(lags)
-    bad = [v for v in lags if not isinstance(v, (int, np.integer))]
+    bad = [v for v in lags if not isinstance(v, (int, np.integer)) or isinstance(v, bool)]
     if bad:
         raise ValueError(f"lags must be integers, got {bad[0]!r}")
     lags = tuple(sorted({int(v) for v in lags}))

@@ -89,7 +89,11 @@ class TestSpecParsing:
         ("lengths", (200, 200.5), "lengths: expected integers, got 200.5"),
         ("replicates", 1.5, "replicates: expected an integer, got 1.5"),
         ("seed", 1.5, "seed: expected a non-negative integer, got 1.5"),
-    ], ids=["no-methods", "no-lengths", "float-T", "float-reps", "float-seed"])
+        ("lengths", (200, True), "lengths: expected integers, got True"),
+        ("replicates", True, "replicates: expected an integer, got True"),
+        ("seed", False, "seed: expected a non-negative integer, got False"),
+    ], ids=["no-methods", "no-lengths", "float-T", "float-reps", "float-seed",
+            "bool-T", "bool-reps", "bool-seed"])
     def test_spec_that_cannot_run_names_the_field(self, field, value, want):
         kwargs = {"lengths": (200,), "methods": ("tsobi",), field: value}
         with pytest.raises(ValueError, match=f"^{want}$"):

@@ -383,7 +383,7 @@ class TestMethodTable:
         assert all(type(v) is int for v in method_lags("sobi", np.array([2, 1])))
 
     @pytest.mark.parametrize("lags,bad", [((1.5, 2.9), "1.5"), ("12", "'12'"), (5, "5"),
-                                          (np.array([1.0, 2.0]), "1.0")])
+                                          (np.array([1.0, 2.0]), "1.0"), ((True, 2), "True")])
     def test_non_integer_lags_rejected(self, lags, bad):
         with pytest.raises(ValueError, match=f"integers, got .*{bad}"):
             method_lags("tsobi", lags)

@@ -182,7 +182,7 @@ class TestSettings:
         with pytest.raises(ValueError, match=r"^dims \(-3, -2, 2\): every size must be >= 1$"):
             gen_latent_setting("arma", 100, np.random.default_rng(11), dims=(-3, -2, 2))
 
-    @pytest.mark.parametrize("dims", [(3, 2, 2.7), (3.0, 2, 2), (3, "2", 2)])
+    @pytest.mark.parametrize("dims", [(3, 2, 2.7), (3.0, 2, 2), (3, "2", 2), (True, 2)])
     def test_non_integer_sizes_rejected(self, dims):
         # such a size used to be truncated, so (3, 2, 2.7) ran on 3x2x2 frames
         with pytest.raises(ValueError, match=rf"^dims {re.escape(str(dims))}: every size "

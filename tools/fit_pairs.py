@@ -1,4 +1,4 @@
-"""Fit fixed inputs with two commits side by side: every array, sweep count, MDI and stage time.
+"""Two commits' fits of fixed inputs and criterion-7 cells, compared side by side.
 
     python3 tools/fit_pairs.py <rev a> <rev b> --label <label> [--repeats 3]
 
@@ -11,19 +11,28 @@ seeds 301 and 302, reps 0 and 1, haar mixing, fitted by all ten methods,
 and perfbench's 10x8x3 frames-cli series, fitted by the five tensor ones.
 In each of `repeats` rounds every fit runs on both sides, a first for
 even-numbered fits of even rounds and odd of odd rounds, b first otherwise.
+Then each side runs its own `tensorbss.bench.run_benchmark` once on the
+criterion-7 specs of tests/test_acceptance.py (gaussian mixing, seed 2026,
+100 replicates, all ten methods, arma at T = 2000, sv at T = 8000); each of
+the 20 cells (setting, method) is a criterion7 record of the replicates'
+MDIs (NaN for a failed fit), the mean, `n_ok` and `n_not_converged`.
 
-It prints, and writes to BENCH_<label>.json: per kind (data, vector,
-tensor) and field, the largest absolute and relative difference (to the
-array's largest |entry|; inf when shapes differ) and the arrays holding
-them; every fit mode whose sweep count or convergence moved; per kind,
-stage and side the fits' own `diagnostics["stage_s"]`, each fit's best
-over the rounds, summed; and (in the file) each side's MDI per fit.  It
-exits 0 when every array is bit-identical and nothing moved, else 1.
+It prints, and writes to BENCH_<label>.json (never over an existing file):
+per kind (criterion7, data, vector, tensor) and field, the largest absolute
+and relative difference (to the array's largest |entry|; inf when shapes
+differ) and the arrays holding them; every fit mode whose sweep count or
+convergence moved; per kind, stage and side the fits' own
+`diagnostics["stage_s"]`, each fit's best over the rounds, summed; each
+side's 7a-7c verdicts; and (in the file) each side's MDI per fit and mean
+per cell, and each replicate that moved by more than 1e-8 in a cell whose
+mean did.  It exits 0 when every array is bit-identical, nothing moved and
+every verdict holds on both sides, else 1.
 
 Only API the library has had since it recorded `stage_s` is called
 (`unmix`, `METHOD_NAMES`, `joint_diag`'s `objective`, `sweeps_used` and
-`converged`, `kron_unmixing`, `mdi`, three `simgen` calls and perfbench's
-`gen_frames`), so either side may be any commit since then.
+`converged`, `kron_unmixing`, `mdi`, three `simgen` calls, `ExperimentSpec`,
+`run_benchmark` and perfbench's `gen_frames`), so either side may be any
+commit since then.
 """
 
 import os
@@ -46,17 +55,21 @@ import numpy as np  # noqa: E402
 from bench_pairs import ROOT, archive  # noqa: E402
 
 SIDES = ("a", "b")
-REPLICATES = [(setting, t, seed, rep) for setting, t in (("arma", 2000), ("sv", 8000))
+LENGTHS = (("arma", 2000), ("sv", 8000))
+REPLICATES = [(setting, t, seed, rep) for setting, t in LENGTHS
               for seed in (301, 302) for rep in (0, 1)]
+VECTOR = ("sobi", "gfobi", "gjade", "fobi", "jade")  # each with its tensor counterpart "t" + name
+MOVED = 1e-8  # a criterion-7 mean that moves by more has its moved replicates recorded
 
 
-def load(tree: Path):
-    """Import `tree`'s perfbench workloads, and with them its tensorbss; returns workloads.
+def load(tree: Path) -> tuple:
+    """Import `tree`'s perfbench workloads, with them its tensorbss, and its tensorbss.bench.
 
-    Their names leave `sys.modules` after, so that the next tree imports under them too."""
+    Returns (workloads, bench).  Their names leave `sys.modules` after, so
+    that the next tree imports under them too."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module("workloads"), importlib.import_module("tensorbss.bench")
     finally:
         del sys.path[:2]
         for name in [n for n in sys.modules
@@ -89,8 +102,33 @@ def fit_record(w, res, mats) -> dict:
             "modes": [(d["sweeps_used"], bool(d["converged"])) for d in jd]}
 
 
+def criterion7(w, bench) -> dict:
+    """The 20 criterion-7 cells as records {("criterion7", "<setting>/<method>"): fields}."""
+    cells = {}
+    for setting, t in LENGTHS:
+        spec = bench.ExperimentSpec(setting=setting, mixing="gaussian", lengths=(t,),
+                                    methods=tuple(w.bss.METHOD_NAMES), replicates=100, seed=2026)
+        manifest = bench.run_benchmark(spec)
+        for row in manifest["aggregates"]:
+            mdis = [r["mdi"][row["method"]] for r in manifest["replicates"]]
+            cells["criterion7", f"{setting}/{row['method']}"] = {
+                "mdi": [np.array([v if isinstance(v, float) else np.nan for v in mdis])],
+                "mean": [np.array(row["mean_mdi"])], "n_ok": [np.array(row["n_ok"])],
+                "n_not_converged": [np.array(row["n_not_converged"])]}
+    return cells
+
+
+def verdicts(m: dict) -> dict:
+    """The 7a, 7b and 7c gates of tests/test_acceptance.py on means m["<setting>/<method>"]."""
+    return {
+        "7a": m["arma/tsobi"] < m["arma/tgfobi"] and m["arma/tsobi"] < m["arma/sobi"],
+        "7b": m["sv/tgjade"] < m["sv/gjade"] and m["sv/tgjade"] <= m["sv/tsobi"],
+        "7c": all(m[f"{s}/t{v}"] < m[f"{s}/{v}"] for s, _ in LENGTHS for v in VECTOR),
+    }
+
+
 def compare(a: dict, b: dict) -> tuple:
-    """Compare two sides' records, each {(kind, name): record} as `fit_record` makes them.
+    """Compare two sides' records, each {(kind, name): {field: list of arrays}}.
 
     Returns (rows, moved, exit code): rows holds per kind and field the
     largest absolute and relative difference and where each is; moved lists
@@ -137,9 +175,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    out_path = ROOT / f"BENCH_{args.label}.json"
+    if out_path.exists():
+        parser.error(f"--label: {out_path.name} exists; choose another label")
     with tempfile.TemporaryDirectory(prefix="fit-pairs-") as tmp:
         revs = {side: archive(rev, Path(tmp) / side) for side, rev in zip(SIDES, (args.a, args.b))}
-        code = {side: load(Path(tmp) / side) for side in SIDES}
+        code, bench = {}, {}
+        for side in SIDES:
+            code[side], bench[side] = load(Path(tmp) / side)
         inputs = {side: draw(w) for side, w in code.items()}
     records = {side: {("data", name): arrays for name, (_, _, arrays) in inputs[side].items()}
                for side in SIDES}
@@ -158,21 +201,40 @@ def main(argv=None) -> int:
                     stages[stage] = min(stages.get(stage, float("inf")), s)
                 if r == 0:
                     records[side][key] = fit_record(code[side], res, mats)
+    for side in SIDES:
+        records[side].update(criterion7(code[side], bench[side]))
     rows, moved, exit_code = compare(records["a"], records["b"])
+    means = {name: {side: float(records[side][kind, name]["mean"][0]) for side in SIDES}
+             for kind, name in records["a"] if kind == "criterion7"}
+    gates = {side: verdicts({name: m[side] for name, m in means.items()}) for side in SIDES}
+    shifted = {}  # per cell whose mean moved: {replicate: [mdi a, mdi b]} of those that moved
+    for name, m in means.items():
+        if abs(m["a"] - m["b"]) > MOVED:
+            u, v = (records[side]["criterion7", name]["mdi"][0] for side in SIDES)
+            shifted[name] = {int(k): [float(u[k]), float(v[k])] for k in np.flatnonzero(
+                ~np.isclose(u, v, rtol=0.0, atol=MOVED, equal_nan=True))}
+    exit_code = int(exit_code or not all(all(g.values()) for g in gates.values()))
     stage_s = {}
     for side in SIDES:
         for (kind, _), stages in best[side].items():
             for stage, s in stages.items():
                 stage_s.setdefault(kind, {}).setdefault(stage, dict.fromkeys(SIDES, 0.0))[side] += s
-    print(f"{len(fits)} fits and {len(inputs['a'])} inputs per side, {revs['a']} vs {revs['b']}")
+    print(f"{len(fits)} fits, {len(inputs['a'])} inputs and {len(means)} criterion-7 cells "
+          f"per side, {revs['a']} vs {revs['b']}")
     for row in rows:
-        print(f"{row['kind']:6s} {row['field']:13s} " + (
+        print(f"{row['kind']:10s} {row['field']:15s} " + (
             "bit-identical" if row["max_abs_at"] is None else
             f"max abs {row['max_abs']:.3e} at {row['max_abs_at']}; "
             f"max rel {row['max_rel']:.1e} at {row['max_rel_at']}"))
     print(f"{len(moved)} fit modes changed sweep count or convergence")
     for line in moved:
         print(f"  {line}")
+    for name, reps in shifted.items():
+        print(f"criterion-7 {name} mean moved by more than {MOVED:g}: " + ", ".join(
+            f"rep {k} {u:.6f} -> {v:.6f}" for k, (u, v) in reps.items()))
+    for side in SIDES:
+        print(f"criterion 7, {side}: " + ", ".join(
+            f"{gate} {'holds' if ok else 'FAILS'}" for gate, ok in gates[side].items()))
     print(f"stage seconds, each fit's best of {args.repeats}, summed:")
     for kind, stages in stage_s.items():
         for stage, t in stages.items():
@@ -187,9 +249,9 @@ def main(argv=None) -> int:
                     f"scipy {version('scipy')}"),
         "exit_code": exit_code, "differences": rows, "moved": moved, "stage_s": stage_s,
         "mdi": {name: {side: float(records[side][kind, name]["mdi"][0]) for side in SIDES}
-                for kind, name in records["a"] if kind != "data"},
+                for kind, name in records["a"] if kind in ("vector", "tensor")},
+        "criterion7": {"verdicts": gates, "means": means, "moved": shifted},
     }
-    out_path = ROOT / f"BENCH_{args.label}.json"
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"written to {out_path}; exit {exit_code}")
     return exit_code
