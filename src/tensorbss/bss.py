@@ -130,8 +130,9 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
     `diagnostics["stage_s"]` holds the seconds spent in each stage (`whiten`,
     `moments`, `joint_diag`, `assemble`), summed over modes.  Per mode,
     `diagnostics["joint_diag"]` holds the diagonalizer's objective, sweeps,
-    convergence flag, matrix counts and `stall_sweep`, the first sweep whose
-    relative objective gain fell below `STALL_GAIN` (None when none did).
+    convergence flag, matrix counts, `stall_sweep`, the first sweep whose
+    relative objective gain fell below `STALL_GAIN` (None when none did), and
+    `newton_steps`, the Newton steps that finished the sweeps.
     """
     lags = method_lags(method, lags)
     builder, tensor_path, _ = METHOD_NAMES[method]
@@ -162,7 +163,8 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
         diag_info.append({"objective": res.objective, "sweeps_used": res.sweeps_used,
                           "converged": res.converged, "matrices": len(mats),
                           "matrices_diagonalized": res.matrices_diagonalized,
-                          "stall_sweep": _stall_sweep(res.objective_trace)})
+                          "stall_sweep": _stall_sweep(res.objective_trace),
+                          "newton_steps": res.newton_steps})
         t4 = perf_counter()
         stage_s["moments"] += t2 - t1
         stage_s["joint_diag"] += t3 - t2

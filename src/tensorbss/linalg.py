@@ -7,12 +7,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.linalg.blas import ddot, drot
+from scipy.linalg.lapack import dposv
 
-__all__ = ["RankDeficiencyError", "JointDiagResult", "MAX_SWEEPS", "TOL", "joint_diagonalize"]
+__all__ = ["RankDeficiencyError", "JointDiagResult", "MAX_SWEEPS", "NEWTON_AFTER", "TOL",
+           "joint_diagonalize"]
 
 MAX_SWEEPS = 100  # Jacobi sweeps before a fit is reported as not converged
 TOL = 1e-12  # Givens angles within this are skipped; a sweep of only such converges
+NEWTON_AFTER = 15  # Jacobi sweeps before a fit that has not converged takes Newton steps
+NEWTON_ANGLE = 1e-2  # ... once the sweep's largest angle is below this
+NEWTON_STEPS = 8  # Newton steps per sweep at most
+NEWTON_HALVINGS = 4  # halvings of a Newton step whose objective falls, before it is refused
 
 
 class RankDeficiencyError(ValueError):
@@ -29,6 +36,7 @@ class JointDiagResult:
     converged: bool
     matrices_diagonalized: int  # the set's size after compression (see joint_diagonalize)
     objective_trace: list = field(default_factory=list)
+    newton_steps: int = 0  # Newton steps taken (see joint_diagonalize)
 
 
 def joint_diagonalize(ms) -> JointDiagResult:
@@ -40,6 +48,16 @@ def joint_diagonalize(ms) -> JointDiagResult:
     be symmetric, but a non-finite entry raises `FloatingPointError`.  A sweep
     whose angles all lie within `TOL` ends the search; after `MAX_SWEEPS`
     sweeps it stops, not converged.
+
+    Jacobi converges only linearly near a flat maximum, so a fit that has
+    not converged after `NEWTON_AFTER` sweeps, once a sweep's largest angle
+    is below `NEWTON_ANGLE`, takes damped Newton steps on the orthogonal
+    group (`_newton`; Absil, Mahony & Sepulchre 2008) after that sweep, and
+    then goes on sweeping under the same `TOL` rule.  When a step is refused,
+    the next try waits until the largest angle has fallen tenfold.  A fit
+    that converges within `NEWTON_AFTER` sweeps takes no Newton step.
+    `newton_steps` counts the steps taken; `objective_trace` has one entry
+    per sweep, after the sweep's Newton steps.
 
     The angles and the objective see the set only through
     G = sum_k vec(S_k) vec(S_k)^T, of rank at most p(p+1)/2.  So when K
@@ -99,13 +117,14 @@ def joint_diagonalize(ms) -> JointDiagResult:
               j * (k + 1) * p) for i in range(p - 1) for j in range(i + 1, p)]
     d, o = np.empty(k), np.empty(k)  # each pair's S_ii - S_jj and S_ij + S_ji, reused
     trace = [_diag_mass(a)]
-    sweeps = 0
+    sweeps = newton_steps = 0
+    newton_below = NEWTON_ANGLE
     converged = p < 2
     for sweep in range(MAX_SWEEPS):
         if converged:
             break
         sweeps = sweep + 1
-        rotated = False
+        largest = 0.0
         for i, j, aii, ajj, aij, aji, row_i, row_j in pairs:
             np.subtract(aii, ajj, out=d)
             np.add(aij, aji, out=o)
@@ -114,14 +133,20 @@ def joint_diagonalize(ms) -> JointDiagResult:
             theta = 0.5 * math.atan2(toff, ton + math.hypot(ton, toff))
             if abs(theta) <= TOL:
                 continue
-            rotated = True
+            if abs(theta) > largest:
+                largest = abs(theta)
             c, s = math.cos(theta), math.sin(theta)
             # x_i <- c x_i + s x_j, x_j <- c x_j - s x_i (args n, offx, incx, offy, incy):
             # columns i and j of the set and of U, then rows i and j of the set
             drot(fa, fa, c, s, p * (k + 1), i, p, j, p, 1, 1)
             drot(fa, fa, c, s, p * k, row_i, 1, row_j, 1, 1, 1)
+        converged = largest <= TOL
+        if not converged and sweeps >= NEWTON_AFTER and largest < newton_below:
+            steps, refused = _newton(au, k)
+            newton_steps += steps
+            if refused:
+                newton_below = largest / 10.0
         trace.append(_diag_mass(a))
-        converged = not rotated
     # deterministic order/sign convention: descending diagonal of U^T M_1 U
     m0 = np.asarray(ms[0], dtype=float)
     d1 = np.diag(u.T @ (0.5 * (m0 + m0.T)) @ u)
@@ -137,7 +162,84 @@ def joint_diagonalize(ms) -> JointDiagResult:
         converged=converged,
         matrices_diagonalized=k,
         objective_trace=trace,
+        newton_steps=newton_steps,
     )
+
+
+def _newton_system(a: np.ndarray) -> tuple:
+    """Gradient and Hessian at X = 0 of f(X) = sum_k ||diag(e^-X S_k e^X)||^2.
+
+    `a` holds K symmetric matrices in the layout a[r, k, c] = S_k[r, c].
+    X = sum_b x_b E_b over the pairs b = (i, j), i < j, in `np.triu_indices`
+    order, with E_b = e_i e_j^T - e_j e_i^T.  With D_kb = S_k[j, j] - S_k[i, i]:
+    g_b = 4 sum_k S_k[i, j] D_kb, and H = 2 J^T J + Q + Q^T, where J stacks
+    the Jacobians of diag(e^-X S_k e^X) (column b: -2 S_k[i, j] in row i,
+    +2 S_k[i, j] in row j) and Q[a, b] = 2 [G_b, E_a][i_b, j_b] with
+    G_b = sum_k D_kb S_k, from the second-order term (1/2)[[S, X], X].
+    """
+    p = a.shape[0]
+    i, j = np.triu_indices(p, 1)
+    b = np.arange(i.size)
+    off = a[i, :, j]  # (P, K)
+    dd = a[j, :, j] - a[i, :, i]
+    grad = 4.0 * np.einsum("bk,bk->b", off, dd)
+    # J^T J = 4 (off off^T) * (C^T C), C the (p, P) incidence matrix of the pairs
+    inc = np.zeros((p, i.size))
+    inc[i, b], inc[j, b] = -1.0, 1.0
+    hess = 8.0 * (off @ off.T) * (inc.T @ inc)
+    # [G, E_a][r, c] = <E_a, N> with N = g_r e_c^T - e_r g_c^T - e_c g_r^T + g_c e_r^T,
+    # g_r and g_c the rows r and c of the symmetric G; g[r, b] is row r of G_b
+    g = np.matmul(dd, a)
+    gr, gc = g[i, b], g[j, b]
+    n = np.zeros((i.size, p, p))
+    n[b, :, j] = gr
+    n[b, :, i] += gc
+    n[b, i, :] -= gc
+    n[b, j, :] -= gr
+    q = 2.0 * n[:, i, j].T
+    hess += q + q.T
+    return grad, hess
+
+
+def _newton(au: np.ndarray, k: int) -> tuple:
+    """Damped Newton steps for the set in slots 0..k-1 of `au`, U in slot k, in place.
+
+    Each step solves H x = -g (`_newton_system`) when -H has a Cholesky
+    factor and is taken as S_k <- e^-X S_k e^X, U <- U e^X, halving x up
+    to `NEWTON_HALVINGS` times until the objective does not fall.  A step
+    with every |x_b| below sqrt(TOL) is taken as it is, since the rounding
+    of the objective hides its gain of order |x|^2, and is the last: by
+    quadratic convergence the next would be of order TOL.  At most
+    `NEWTON_STEPS` are taken.  Returns (steps taken, whether a step was
+    refused).
+    """
+    p = au.shape[0]
+    i, j = np.triu_indices(p, 1)
+    f = _diag_mass(au[:, :k])
+    for step in range(NEWTON_STEPS):
+        grad, hess = _newton_system(au[:, :k])
+        _, x, info = dposv(-hess, grad)  # the Cholesky factor of -H, then the solve
+        if info:
+            return step, True
+        small = np.abs(x).max() < math.sqrt(TOL)
+        for _ in range(NEWTON_HALVINGS + 1):
+            r = np.zeros((p, p))
+            r[i, j], r[j, i] = x, -x
+            r = expm(r)
+            # columns of every slot, U's too, then rows of the K matrices
+            new = (au.reshape(-1, p) @ r).reshape(au.shape)
+            new[:, :k] = np.tensordot(r, new[:, :k], axes=(0, 0))
+            f_new = _diag_mass(new[:, :k])
+            if f_new >= f or small:
+                break
+            x = 0.5 * x
+        else:
+            return step, True
+        au[...] = new
+        f = f_new
+        if small:
+            return step + 1, False
+    return NEWTON_STEPS, False
 
 
 def _diag_mass(a: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tensorbss import linalg
 from tensorbss.bench import (
     ExperimentSpec,
     SUMMARY_HEADER,
@@ -259,16 +260,22 @@ class TestRunBenchmark:
         assert isinstance(rep, dict) and "error" in rep
         assert manifest["stage_s"] == {"tsobi": {}}  # no fit succeeded, nothing summed
 
-    def test_sweep_capped_fits_recorded(self):
-        # vector gfobi on Gaussian ARMA is unidentified; this replicate's
-        # diagonalizer runs to the sweep cap, tsobi's converges
+    def test_sweep_capped_fits_recorded(self, monkeypatch):
+        # vector gfobi on Gaussian ARMA is unidentified, and Jacobi alone is
+        # slow there: at a cap of 10 sweeps this replicate's gfobi fit is
+        # capped and tsobi's converges; at the real cap both converge
         spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(1000,),
                               methods=("tsobi", "gfobi"), replicates=1, seed=0)
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 10)
         manifest = run_benchmark(spec)
         assert manifest["replicates"][0]["not_converged"] == ["gfobi"]
         counts = {row["method"]: (row["n_ok"], row["n_not_converged"])
                   for row in manifest["aggregates"]}
         assert counts == {"tsobi": (1, 0), "gfobi": (1, 1)}
+        monkeypatch.undo()
+        manifest = run_benchmark(spec)
+        assert manifest["replicates"][0]["not_converged"] == []
+        assert [row["n_not_converged"] for row in manifest["aggregates"]] == [0, 0]
 
     def test_manifest_sums_stage_times_and_sweeps(self):
         spec = ExperimentSpec(setting="arma", mixing="haar", lengths=(200,),
@@ -346,6 +353,8 @@ class TestCliUnmix:
                 for d in diag["diagnostics"]["joint_diag"]] == [(12, 6), (12, 3), (12, 3)]
         assert all(1 <= d["stall_sweep"] <= d["sweeps_used"]
                    for d in diag["diagnostics"]["joint_diag"])
+        # these modes converge within NEWTON_AFTER sweeps, by Jacobi alone
+        assert [d["newton_steps"] for d in diag["diagnostics"]["joint_diag"]] == [0, 0, 0]
         stage_s = diag["diagnostics"]["stage_s"]
         assert list(stage_s) == ["whiten", "moments", "joint_diag", "assemble"]
         assert all(v >= 0.0 for v in stage_s.values())

@@ -13,7 +13,7 @@ from tensorbss.bss import (
     unmix,
     whiten,
 )
-from tensorbss import bss, moments, tensor
+from tensorbss import bss, linalg, moments, tensor
 from tensorbss.bench import ExperimentSpec, _replicate_rng
 from tensorbss.cli import main
 from tensorbss.linalg import RankDeficiencyError
@@ -340,15 +340,21 @@ class TestMethodTable:
         info = unmix(xs, method).diagnostics["joint_diag"]
         assert [(d["matrices"], d["matrices_diagonalized"]) for d in info] == counts
 
-    def test_stall_sweep_of_a_capped_fit(self):
-        # vector gfobi cannot separate Gaussian ARMA sources: this fit runs to
-        # the sweep cap although its objective stopped gaining long before
+    def test_stall_sweep_of_a_capped_fit(self, monkeypatch):
+        # vector gfobi cannot separate Gaussian ARMA sources, so Jacobi alone
+        # converges slowly here: capped at 10 sweeps, before any Newton step,
+        # the fit is still gaining; the Newton steps then finish it
         rng = _replicate_rng(0, 0, 0)
         zs = gen_latent_setting("arma", 1000, rng)
         xs = mix(zs, gen_mixing(zs.shape[1:], "haar", rng))
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 10)
         (d,) = unmix(xs, "gfobi").diagnostics["joint_diag"]
-        assert (d["sweeps_used"], d["converged"]) == (100, False)
-        assert 1 <= d["stall_sweep"] <= 30
+        assert (d["sweeps_used"], d["converged"], d["newton_steps"]) == (10, False, 0)
+        assert d["stall_sweep"] is None
+        monkeypatch.undo()
+        (d,) = unmix(xs, "gfobi").diagnostics["joint_diag"]
+        assert d["converged"] and d["sweeps_used"] <= 30 and d["newton_steps"] >= 1
+        assert 1 <= d["stall_sweep"] <= d["sweeps_used"]
 
     def test_stall_sweep_of_a_zero_sweep_fit(self):
         # a mode of size 1 needs no rotation, so its trace has no gain to read

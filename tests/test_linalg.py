@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from tensorbss import linalg
+from tensorbss.bench import _replicate_rng
+from tensorbss.bss import whiten
 from tensorbss.linalg import joint_diagonalize
+from tensorbss.moments import mode_b_tau
+from tensorbss.simgen import gen_latent_setting, gen_mixing, mix
+from tensorbss.tensor import series_components, series_flatten
 
 from oracles import diag_objective, naive_jacobi, pj_distance
 
@@ -93,10 +99,61 @@ class TestJointDiagonalize:
         k = {"one": 1, "below": 2, "boundary": n, "above": n + 3}[size]
         ms = np.random.default_rng([p, k]).standard_normal((k, p, p))
         res = joint_diagonalize(ms)
-        u, sweeps, converged = naive_jacobi(ms, linalg.TOL, linalg.MAX_SWEEPS)
-        assert (res.sweeps_used, res.converged) == (sweeps, converged)
-        assert np.abs(res.rotation - u).max() < 1e-12
+        u, sweeps, converged = naive_jacobi(ms, linalg.TOL, linalg.NEWTON_AFTER)
+        if converged:
+            # no Newton step: the textbook trajectory, to rounding
+            assert (res.sweeps_used, res.converged, res.newton_steps) == (sweeps, True, 0)
+            assert np.abs(res.rotation - u).max() < 1e-12
+        else:
+            # a slower set is finished by Newton steps; two runs that each
+            # converge at TOL differ by up to about 2e-11
+            u, sweeps, converged = naive_jacobi(ms, linalg.TOL, 1000)
+            assert converged and res.converged
+            assert np.abs(res.rotation - u).max() < 1e-10
         assert res.matrices_diagonalized == min(k, p * (p + 1) // 2)
+
+    @pytest.mark.parametrize("p", [5, 12])
+    def test_newton_system_matches_finite_differences(self, p):
+        # f(x) = sum_k ||diag(e^-X S_k e^X)||^2, X = sum_b x_b E_b, by central
+        # differences of step h, which are exact to O(h^2) relative
+        k, h = 7, 1e-4
+        r = np.random.default_rng([17, p])
+        ms = r.standard_normal((k, p, p))
+        ms = ms + ms.transpose(0, 2, 1)
+        i, j = np.triu_indices(p, 1)
+        steps = h * np.eye(i.size)
+
+        def f(x):
+            e = np.zeros((p, p))
+            e[i, j], e[j, i] = x, -x
+            q = expm(e)
+            return diag_objective(ms, q)
+
+        grad, hess = linalg._newton_system(ms.transpose(1, 0, 2))
+        fd_grad = np.array([f(e) - f(-e) for e in steps]) / (2 * h)
+        fd_hess = np.array([[f(a + b) - f(a - b) - f(b - a) + f(-a - b) for b in steps]
+                            for a in steps]) / (4 * h * h)
+        assert np.abs(grad - fd_grad).max() < 1e-6 * np.abs(grad).max()
+        assert np.abs(hess - fd_hess).max() < 1e-6 * np.abs(hess).max()
+        assert np.array_equal(hess, hess.T)
+
+    def test_slow_set_converges_to_the_textbook_limit(self):
+        # vector gfobi's 13 matrices on a Gaussian ARMA replicate, which it
+        # cannot separate: Jacobi alone needs about 200 sweeps
+        rng = _replicate_rng(0, 0, 0)
+        zs = gen_latent_setting("arma", 1000, rng)
+        xs = series_components(mix(zs, gen_mixing(zs.shape[1:], "haar", rng)))
+        ys, _ = whiten(xs - xs.mean(axis=0))
+        ms = mode_b_tau(series_flatten(ys, 1), range(13))
+        u, sweeps, converged = naive_jacobi(ms, linalg.TOL, 1000)
+        assert converged and sweeps > linalg.MAX_SWEEPS
+        res = joint_diagonalize(ms)
+        assert res.converged and res.newton_steps > 0
+        assert res.sweeps_used < linalg.MAX_SWEEPS
+        assert np.abs(res.rotation - u).max() < 1e-10
+        trace = np.array(res.objective_trace)
+        assert len(trace) == res.sweeps_used + 1
+        assert np.all(np.diff(trace) >= -1e-12 * trace[-1])
 
     def test_compressed_set_follows_the_textbook_trajectory(self):
         # K = 832 matrices of size 8x8, far above p(p+1)/2 = 36: a planted

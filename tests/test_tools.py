@@ -1,5 +1,5 @@
-"""The comparison rules of tools/fit_pairs.py, on synthetic fits and criterion-7 cells
-(no git, no perfbench, no benchmark run)."""
+"""The comparison rules of tools/fit_pairs.py, on synthetic fits and criterion-7 cells,
+and the label checks of both tools (no git, no perfbench, no benchmark run)."""
 
 import sys
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import bench_pairs  # noqa: E402
 from fit_pairs import ROOT, compare, main, verdicts  # noqa: E402
 
 
@@ -101,4 +102,20 @@ def test_existing_record_is_not_overwritten(capsys):
         main(["HEAD", "HEAD", "--label", "mode_mdi"])
     assert exc.value.code == 2
     assert "BENCH_mode_mdi.json exists" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def test_bench_pairs_refuses_a_fit_pairs_record(monkeypatch, capsys):
+    # fit_pairs.py keys its revisions a and b; the label is refused before any archive
+    def archive(rev, dest):
+        raise AssertionError("archived a tree")
+
+    monkeypatch.setattr(bench_pairs, "archive", archive)
+    path = ROOT / "BENCH_fit_pairs_criterion7.json"
+    before = path.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["HEAD", "HEAD", "--workload", "arma-mc", "--seeds", "1", "2",
+                          "--label", "fit_pairs_criterion7"])
+    assert exc.value.code == 2
+    assert "BENCH_fit_pairs_criterion7.json holds no parent and change" in capsys.readouterr().err
     assert path.read_bytes() == before

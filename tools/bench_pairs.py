@@ -106,11 +106,15 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim: {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
     out_path = ROOT / f"BENCH_{args.label}.json"
+    doc = json.loads(out_path.read_text()) if out_path.exists() else None
+    if doc is not None and not all(side in doc for side in SIDES):
+        parser.error(f"--label: {out_path.name} holds no parent and change revisions, "
+                     f"so this tool did not write it; choose another label")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         revs = {side: archive(rev, trees[side])
                 for side, rev in zip(SIDES, (args.parent, args.change))}
-        doc = json.loads(out_path.read_text()) if out_path.exists() else {
+        doc = doc or {
             "label": args.label, **revs,
             "command": (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                         f"--seconds {bench['run_seconds']} --trace 0"),
