@@ -16,15 +16,11 @@ from .bss import method_lags, unmix
 from .metrics import mode_mdi
 from .simgen import (DEFAULT_DIMS, MIXING_KINDS, gen_latent_setting, gen_mixing, mix,
                      setting_specs)
+from .tensor import _is_int
 
 __all__ = ["ExperimentSpec", "parse_experiment_spec", "run_benchmark", "SUMMARY_HEADER"]
 
 SUMMARY_HEADER = "setting,mixing,method,T,mean_mdi,se_mdi,n_ok"
-
-
-def _is_int(v) -> bool:
-    """Whether `v` is an int or numpy integer; a bool is not."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass

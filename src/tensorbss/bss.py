@@ -22,7 +22,7 @@ import numpy as np
 
 from . import moments
 from .linalg import RankDeficiencyError, joint_diagonalize
-from .tensor import series_components, series_flatten, series_multilinear_product
+from .tensor import _is_int, series_components, series_flatten, series_multilinear_product
 
 __all__ = [
     "METHOD_NAMES",
@@ -69,7 +69,7 @@ def method_lags(name: str, lags=None) -> tuple:
     if isinstance(lags, (str, bytes)) or not np.iterable(lags):
         raise ValueError(f"lag set must be a collection of integers, got {lags!r}")
     lags = tuple(lags)
-    bad = [v for v in lags if not isinstance(v, (int, np.integer)) or isinstance(v, bool)]
+    bad = [v for v in lags if not _is_int(v)]
     if bad:
         raise ValueError(f"lags must be integers, got {bad[0]!r}")
     lags = tuple(sorted({int(v) for v in lags}))
@@ -103,7 +103,7 @@ def whiten(xs: np.ndarray):
     deficient when s_min <= max(T rho_m, p_m) eps s_max, the rule of
     `numpy.linalg.matrix_rank`.  A (T, p) series has one mode.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = _real_series(xs, "series")
     if xs.ndim < 2:
         raise ValueError("whitening expects a series of shape (T, p_1, ..., p_r)")
     whiteners = []
@@ -136,7 +136,7 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
     """
     lags = method_lags(method, lags)
     builder, tensor_path, _ = METHOD_NAMES[method]
-    xs = np.asarray(xs, dtype=float)
+    xs = _real_series(xs, "series")
     if xs.ndim < 2:
         raise ValueError("expected a series of shape (T, p_1, ..., p_r)")
     if not tensor_path:
@@ -181,6 +181,13 @@ def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:
     )
 
 
+def _real_series(xs, name: str) -> np.ndarray:
+    # a complex series is refused, not cast to its real part
+    if np.iscomplexobj(xs):
+        raise ValueError(f"{name} has complex values; expected a real series")
+    return np.asarray(xs, dtype=float)
+
+
 def _stall_sweep(trace: list):
     # the first sweep s with trace[s] - trace[s - 1] < STALL_GAIN * trace[s - 1]
     return next((s for s in range(1, len(trace))
@@ -192,7 +199,7 @@ def apply_unmixing(xs: np.ndarray, result: UnmixingResult) -> np.ndarray:
 
     A vector method's fit on tensor input takes the series' vectorized frames.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = _real_series(xs, "xs: series")
     if not np.isfinite(xs).all():
         raise ValueError("xs: series contains NaN or infinite values")
     if result.mean.ndim == 1 and xs.ndim > 2 and np.prod(xs.shape[1:]) == result.mean.size:

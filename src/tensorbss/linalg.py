@@ -19,7 +19,6 @@ TOL = 1e-12  # Givens angles within this are skipped; a sweep of only such conve
 NEWTON_AFTER = 15  # Jacobi sweeps before a fit that has not converged takes Newton steps
 NEWTON_ANGLE = 1e-2  # ... once the sweep's largest angle is below this
 NEWTON_STEPS = 8  # Newton steps per sweep at most
-NEWTON_HALVINGS = 4  # halvings of a Newton step whose objective falls, before it is refused
 
 
 class RankDeficiencyError(ValueError):
@@ -49,15 +48,14 @@ def joint_diagonalize(ms) -> JointDiagResult:
     whose angles all lie within `TOL` ends the search; after `MAX_SWEEPS`
     sweeps it stops, not converged.
 
-    Jacobi converges only linearly near a flat maximum, so a fit that has
-    not converged after `NEWTON_AFTER` sweeps, once a sweep's largest angle
-    is below `NEWTON_ANGLE`, takes damped Newton steps on the orthogonal
-    group (`_newton`; Absil, Mahony & Sepulchre 2008) after that sweep, and
-    then goes on sweeping under the same `TOL` rule.  When a step is refused,
-    the next try waits until the largest angle has fallen tenfold.  A fit
-    that converges within `NEWTON_AFTER` sweeps takes no Newton step.
-    `newton_steps` counts the steps taken; `objective_trace` has one entry
-    per sweep, after the sweep's Newton steps.
+    Jacobi converges only linearly near a flat maximum, so once a fit has
+    run `NEWTON_AFTER` sweeps without converging, every sweep whose largest
+    angle is below `NEWTON_ANGLE` is followed by damped Newton steps on the
+    orthogonal group (`_newton`; Absil, Mahony & Sepulchre 2008), and the
+    sweeps go on under the same `TOL` rule.  A fit that converges within
+    `NEWTON_AFTER` sweeps takes no Newton step.  `newton_steps` counts the
+    steps taken; `objective_trace` has one entry per sweep, after the
+    sweep's Newton steps.
 
     The angles and the objective see the set only through
     G = sum_k vec(S_k) vec(S_k)^T, of rank at most p(p+1)/2.  So when K
@@ -118,7 +116,6 @@ def joint_diagonalize(ms) -> JointDiagResult:
     d, o = np.empty(k), np.empty(k)  # each pair's S_ii - S_jj and S_ij + S_ji, reused
     trace = [_diag_mass(a)]
     sweeps = newton_steps = 0
-    newton_below = NEWTON_ANGLE
     converged = p < 2
     for sweep in range(MAX_SWEEPS):
         if converged:
@@ -141,11 +138,8 @@ def joint_diagonalize(ms) -> JointDiagResult:
             drot(fa, fa, c, s, p * (k + 1), i, p, j, p, 1, 1)
             drot(fa, fa, c, s, p * k, row_i, 1, row_j, 1, 1, 1)
         converged = largest <= TOL
-        if not converged and sweeps >= NEWTON_AFTER and largest < newton_below:
-            steps, refused = _newton(au, k)
-            newton_steps += steps
-            if refused:
-                newton_below = largest / 10.0
+        if not converged and sweeps >= NEWTON_AFTER and largest < NEWTON_ANGLE:
+            newton_steps += _newton(au, k)
         trace.append(_diag_mass(a))
     # deterministic order/sign convention: descending diagonal of U^T M_1 U
     m0 = np.asarray(ms[0], dtype=float)
@@ -201,17 +195,18 @@ def _newton_system(a: np.ndarray) -> tuple:
     return grad, hess
 
 
-def _newton(au: np.ndarray, k: int) -> tuple:
+def _newton(au: np.ndarray, k: int) -> int:
     """Damped Newton steps for the set in slots 0..k-1 of `au`, U in slot k, in place.
 
-    Each step solves H x = -g (`_newton_system`) when -H has a Cholesky
-    factor and is taken as S_k <- e^-X S_k e^X, U <- U e^X, halving x up
-    to `NEWTON_HALVINGS` times until the objective does not fall.  A step
-    with every |x_b| below sqrt(TOL) is taken as it is, since the rounding
-    of the objective hides its gain of order |x|^2, and is the last: by
-    quadratic convergence the next would be of order TOL.  At most
-    `NEWTON_STEPS` are taken.  Returns (steps taken, whether a step was
-    refused).
+    Each step solves H x = -g (`_newton_system`) while -H has a Cholesky
+    factor and x is finite (H overflows at scales near 1e153), and is taken
+    as S_k <- e^-X S_k e^X, U <- U e^X, halving x until the objective does
+    not fall (a backtracking line search).  A step with
+    every |x_b| below sqrt(TOL) is taken as it is, since the rounding of the
+    objective hides its gain of order |x|^2, and is the last: by quadratic
+    convergence the next would be of order TOL.  So the halving ends within
+    log2(max|x| / sqrt(TOL)) tries.  At most `NEWTON_STEPS` are taken;
+    returns how many were.
     """
     p = au.shape[0]
     i, j = np.triu_indices(p, 1)
@@ -219,10 +214,10 @@ def _newton(au: np.ndarray, k: int) -> tuple:
     for step in range(NEWTON_STEPS):
         grad, hess = _newton_system(au[:, :k])
         _, x, info = dposv(-hess, grad)  # the Cholesky factor of -H, then the solve
-        if info:
-            return step, True
-        small = np.abs(x).max() < math.sqrt(TOL)
-        for _ in range(NEWTON_HALVINGS + 1):
+        if info or not np.isfinite(x).all():
+            return step
+        while True:
+            small = np.abs(x).max() < math.sqrt(TOL)
             r = np.zeros((p, p))
             r[i, j], r[j, i] = x, -x
             r = expm(r)
@@ -233,13 +228,11 @@ def _newton(au: np.ndarray, k: int) -> tuple:
             if f_new >= f or small:
                 break
             x = 0.5 * x
-        else:
-            return step, True
         au[...] = new
         f = f_new
         if small:
-            return step + 1, False
-    return NEWTON_STEPS, False
+            return step + 1
+    return NEWTON_STEPS
 
 
 def _diag_mass(a: np.ndarray) -> float:

@@ -31,6 +31,8 @@ def kron_unmixing(gammas) -> np.ndarray:
     frames exactly as the chained mode products do on tensors.
     """
     mats = [np.asarray(g, dtype=float) for g in gammas]
+    if not mats:
+        raise ValueError("need at least one per-mode matrix")
     for g in mats:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("per-mode unmixers must be square")

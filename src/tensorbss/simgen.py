@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .tensor import series_from_components, series_multilinear_product
+from .tensor import _is_int, series_from_components, series_multilinear_product
 
 __all__ = [
     "ArmaSpec",
@@ -215,7 +215,7 @@ _GENERATORS = {ArmaSpec: "gen_arma", GarchSpec: "gen_garch", SvSpec: "gen_sv"}
 def _frame_dims(dims) -> tuple:
     """`dims` as a tuple of ints, checked to be integers (numpy's too, bools not) >= 1."""
     dims = tuple(dims)
-    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
+    if not all(_is_int(d) for d in dims):
         raise ValueError(f"dims {dims}: every size must be an integer")
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):

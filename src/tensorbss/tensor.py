@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    """Whether `v` is an int or numpy integer; a bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_mode(mode: int, order: int) -> int:
     if not 1 <= mode <= order:
         raise ValueError(f"mode {mode} out of range for order-{order} tensor")

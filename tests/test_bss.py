@@ -484,6 +484,18 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="NaN or infinite"):
             unmix(xs, method)
 
+    def test_complex_series_rejected(self):
+        # numpy would cast it to its real part, with only a ComplexWarning
+        xs = np.random.default_rng(53).standard_normal((300, 3, 2, 2))
+        res = unmix(xs, "tsobi")
+        with pytest.raises(ValueError, match="^series has complex values; expected a real "
+                                             "series$"):
+            unmix(xs + 1j * xs, "tsobi")
+        with pytest.raises(ValueError, match="^series has complex values"):
+            whiten(xs + 1j * xs)
+        with pytest.raises(ValueError, match="^xs: series has complex values"):
+            apply_unmixing(xs + 1j * xs, res)
+
     def test_non_finite_moments_raise(self):
         # at 1e-100 the whitened order-3 series scales as 1e200, so its lagged
         # moments overflow; the fit must fail, not report converged modes

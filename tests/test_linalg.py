@@ -20,6 +20,16 @@ def random_orthogonal(p, r=rng):
     return q * np.sign(np.diag(rr))
 
 
+def slow_gfobi_set():
+    """Vector gfobi's 13 matrices on a Gaussian ARMA replicate, which it
+    cannot separate: Jacobi alone needs about 200 sweeps."""
+    rng = _replicate_rng(0, 0, 0)
+    zs = gen_latent_setting("arma", 1000, rng)
+    xs = series_components(mix(zs, gen_mixing(zs.shape[1:], "haar", rng)))
+    ys, _ = whiten(xs - xs.mean(axis=0))
+    return mode_b_tau(series_flatten(ys, 1), range(13))
+
+
 class TestJointDiagonalize:
     def test_already_diagonal(self):
         ms = [np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 5.0, 2.0])]
@@ -137,14 +147,25 @@ class TestJointDiagonalize:
         assert np.abs(hess - fd_hess).max() < 1e-6 * np.abs(hess).max()
         assert np.array_equal(hess, hess.T)
 
+    def test_newton_step_backtracks_until_the_objective_rises(self):
+        # a planted rotation plus noise whose first Newton direction from
+        # U = I lowers the objective until it has been halved five times
+        r = np.random.default_rng(3599)
+        p, k = int(r.integers(3, 8)), int(r.integers(2, 8))
+        q, _ = np.linalg.qr(r.standard_normal((p, p)))
+        ms = q @ (r.standard_normal((k, p))[:, :, None] * np.eye(p)) @ q.T
+        ms = ms + r.uniform(0, 1) * r.standard_normal((k, p, p))
+        ms = 0.5 * (ms + ms.transpose(0, 2, 1))
+        au = np.empty((p, k + 1, p))  # joint_diagonalize's layout, U = I in slot k
+        au[:, :k] = ms.transpose(1, 0, 2)
+        au[:, k] = np.eye(p)
+        assert linalg._newton(au, k) >= 1
+        u = au[:, k]
+        assert np.abs(u.T @ u - np.eye(p)).max() < 1e-12
+        assert diag_objective(ms, u) > diag_objective(ms, np.eye(p)) + 1e-3
+
     def test_slow_set_converges_to_the_textbook_limit(self):
-        # vector gfobi's 13 matrices on a Gaussian ARMA replicate, which it
-        # cannot separate: Jacobi alone needs about 200 sweeps
-        rng = _replicate_rng(0, 0, 0)
-        zs = gen_latent_setting("arma", 1000, rng)
-        xs = series_components(mix(zs, gen_mixing(zs.shape[1:], "haar", rng)))
-        ys, _ = whiten(xs - xs.mean(axis=0))
-        ms = mode_b_tau(series_flatten(ys, 1), range(13))
+        ms = slow_gfobi_set()
         u, sweeps, converged = naive_jacobi(ms, linalg.TOL, 1000)
         assert converged and sweeps > linalg.MAX_SWEEPS
         res = joint_diagonalize(ms)
@@ -154,6 +175,14 @@ class TestJointDiagonalize:
         trace = np.array(res.objective_trace)
         assert len(trace) == res.sweeps_used + 1
         assert np.all(np.diff(trace) >= -1e-12 * trace[-1])
+
+    def test_overflowing_newton_system_ends_the_phase(self):
+        # at this scale the Hessian overflows and the solve is not finite:
+        # no step is taken and the sweeps go on, as when -H has no Cholesky factor
+        with np.errstate(all="ignore"):
+            res = joint_diagonalize(1e153 * slow_gfobi_set())
+        assert res.newton_steps == 0
+        assert np.isfinite(res.rotation).all()
 
     def test_compressed_set_follows_the_textbook_trajectory(self):
         # K = 832 matrices of size 8x8, far above p(p+1)/2 = 36: a planted

@@ -98,6 +98,12 @@ class TestKronUnmixing:
         with pytest.raises(ValueError):
             kron_unmixing([np.eye(2), np.ones((2, 3))])
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one per-mode matrix$"):
+            kron_unmixing([])
+        with pytest.raises(ValueError, match="^need at least one per-mode matrix$"):
+            mode_mdi([], [])
+
 
 class TestModeMdi:
     @pytest.mark.parametrize("scale", [1e150, 1e-150])

@@ -1,6 +1,7 @@
 """The comparison rules of tools/fit_pairs.py, on synthetic fits and criterion-7 cells,
 and the label checks of both tools (no git, no perfbench, no benchmark run)."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -119,3 +120,40 @@ def test_bench_pairs_refuses_a_fit_pairs_record(monkeypatch, capsys):
     assert exc.value.code == 2
     assert "BENCH_fit_pairs_criterion7.json holds no parent and change" in capsys.readouterr().err
     assert path.read_bytes() == before
+
+
+def test_bench_pairs_refuses_a_claim_on_an_unlisted_workload(monkeypatch, capsys):
+    def archive(rev, dest):
+        raise AssertionError("archived a tree")
+
+    monkeypatch.setattr(bench_pairs, "archive", archive)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["HEAD", "HEAD", "--workload", "sv-mc", "--seeds", "1", "2",
+                          "--label", "unused", "--claim", "fit_s"])
+    assert exc.value.code == 2
+    assert "--claim: workload 'sv-mc' is not listed in BENCHMARK.json" in capsys.readouterr().err
+
+
+def test_bench_pairs_files_each_workload_by_benchmark_json(monkeypatch, tmp_path):
+    # a listed workload goes under workloads, any other under information_only
+    (tmp_path / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def archive(rev, dest):
+        dest.mkdir()
+        return rev
+
+    def run_side(tree, workload, seed, seconds):
+        return {"metrics": {name: {"value": 1.0 + seed} for name in names},
+                "attempted": 3, "failed": 0, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "archive", archive)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    for workload in ("arma-mc", "sv-mc"):
+        assert bench_pairs.main(["p", "c", "--workload", workload, "--seeds", "1", "2",
+                                 "--label", "sections"]) == 0
+    doc = json.loads((tmp_path / "BENCH_sections.json").read_text())
+    assert list(doc["workloads"]) == ["arma-mc"]
+    assert list(doc["information_only"]) == ["sv-mc"]
+    assert "claim" not in doc

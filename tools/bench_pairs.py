@@ -1,7 +1,7 @@
 """Run alternated benchmark pairs of two commits and write their summary to BENCH_<label>.json.
 
     python3 tools/bench_pairs.py <parent-rev> <change-rev> --workload arma-mc \\
-        --seeds 1 2 3 4 5 6 7 8 9 10 --label <label> [--claim fit_s] [--information-only]
+        --seeds 1 2 3 4 5 6 7 8 9 10 --label <label> [--claim fit_s]
 
 Each side runs from a fresh `git archive` of its commit in a temporary
 directory, as `python3 perfbench/run.py --workload W --seed S --seconds N
@@ -15,9 +15,9 @@ wins at least nine tenths of the pairs, ties counting for neither, and its
 median gain exceeds the distance between the parent's quartiles.
 
 Runs with the same label and revisions go into one file, one workload per
-run, under `workloads` or, with `--information-only` (a workload not in
-`BENCHMARK.json`), under `information_only`; `--claim M` records the
-verdict on metric M of this workload as the file's `claim`.
+run, under `workloads` for a workload that `BENCHMARK.json` lists and
+under `information_only` for any other; `--claim M` records the verdict on
+metric M of a listed workload as the file's `claim`.
 """
 
 import argparse
@@ -97,14 +97,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--claim", help="end-to-end metric whose verdict is the file's claim")
-    parser.add_argument("--information-only", action="store_true")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
+    listed = any(w["name"] == args.workload for w in bench["workloads"])
     if len(args.seeds) < 2:
         parser.error("--seeds: quartiles need at least two pairs")
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim: {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
+    if args.claim is not None and not listed:
+        parser.error(f"--claim: workload {args.workload!r} is not listed in BENCHMARK.json")
     out_path = ROOT / f"BENCH_{args.label}.json"
     doc = json.loads(out_path.read_text()) if out_path.exists() else None
     if doc is not None and not all(side in doc for side in SIDES):
@@ -146,8 +148,7 @@ def main(argv=None) -> int:
         "correct": all(p[side]["correct"] for p in pairs for side in SIDES),
         "pairs": pairs,
     }
-    section = "information_only" if args.information_only else "workloads"
-    doc.setdefault(section, {})[args.workload] = block
+    doc.setdefault("workloads" if listed else "information_only", {})[args.workload] = block
     if args.claim is not None:
         s = block["summary"][args.claim]
         doc["claim"] = {"workload": args.workload, "metric": args.claim, "pairs": len(pairs),
