@@ -201,10 +201,10 @@ def _newton(au: np.ndarray, k: int) -> int:
     Each step solves H x = -g (`_newton_system`) while -H has a Cholesky
     factor and x is finite (H overflows at scales near 1e153), and is taken
     as S_k <- e^-X S_k e^X, U <- U e^X, halving x until the objective does
-    not fall (a backtracking line search).  A step with
-    every |x_b| below sqrt(TOL) is taken as it is, since the rounding of the
-    objective hides its gain of order |x|^2, and is the last: by quadratic
-    convergence the next would be of order TOL.  So the halving ends within
+    not fall (a backtracking line search).  A step with every |x_b| below
+    sqrt(TOL) is taken as it is, since the rounding of the objective hides
+    its gain of order |x|^2, and is the last: by quadratic convergence the
+    next would be of order TOL.  So the halving ends within
     log2(max|x| / sqrt(TOL)) tries.  At most `NEWTON_STEPS` are taken;
     returns how many were.
     """
