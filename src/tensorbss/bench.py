@@ -163,21 +163,26 @@ def _run_replicate(spec: ExperimentSpec, task: tuple) -> tuple:
 
     Returns the manifest's replicate entry (T, the replicate index, the MDI
     or error per method and, under `not_converged`, the sorted methods
-    whose diagonalizer stopped at the sweep cap on any mode) and, per
-    method that fitted, its `diagnostics["stage_s"]` and its sweeps summed
-    over modes.
+    whose diagonalizer stopped at the sweep cap on any mode), per method
+    that fitted its `diagnostics["stage_s"]` and its sweeps summed over
+    modes, and the seconds spent outside the fits, under `simulate`
+    (generate, draw the mixing, mix) and `score` (`mode_mdi`).
     """
     t_index, rep = task
     t = spec.lengths[t_index]
+    t0 = time.perf_counter()
     rng = _replicate_rng(spec.seed, t_index, rep)
     zs = gen_latent_setting(spec.setting, t, rng, dims=spec.dims)
     mats = gen_mixing(spec.dims, spec.mixing, rng)
     xs = mix(zs, mats)
+    outside = {"simulate": time.perf_counter() - t0, "score": 0.0}
     out, capped, stages = {}, [], {}
     for method in spec.methods:
         try:
             res = unmix(xs, method, lags=spec.lags.get(method))
+            t0 = time.perf_counter()
             out[method] = mode_mdi(res.mode_unmixers, mats).value
+            outside["score"] += time.perf_counter() - t0
         except Exception as exc:  # record and keep going; excluded from means
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
@@ -185,7 +190,8 @@ def _run_replicate(spec: ExperimentSpec, task: tuple) -> tuple:
         stages[method] = res.diagnostics["stage_s"], sum(d["sweeps_used"] for d in modes)
         if not all(d["converged"] for d in modes):
             capped.append(method)
-    return {"T": t, "replicate": rep, "mdi": out, "not_converged": sorted(capped)}, stages
+    entry = {"T": t, "replicate": rep, "mdi": out, "not_converged": sorted(capped)}
+    return entry, stages, outside
 
 
 def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
@@ -194,7 +200,10 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
     Replicates are independent seeded tasks, so results do not depend on
     `jobs` or scheduling order.  `stage_s` holds, per method, the seconds of
     each fit stage (`unmix`'s `diagnostics["stage_s"]`) and the diagonalizer
-    sweeps, each summed over the fits that succeeded.
+    sweeps, each summed over the fits that succeeded.  `replicate_s` holds
+    the seconds the replicates spent outside the fits, summed: `simulate`
+    (generate the latent series, draw the mixing, mix) and `score`
+    (`mode_mdi` of each fit that succeeded).
     """
     if jobs < 1:
         raise ValueError(f"jobs: expected an integer >= 1, got {jobs}")
@@ -202,9 +211,13 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
     tasks = [(ti, rep) for ti in range(len(spec.lengths)) for rep in range(spec.replicates)]
     replicates = []
     stage_s = {m: {} for m in spec.methods}
+    replicate_s = {"simulate": 0.0, "score": 0.0}
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for entry, stages in (pool.map if pool else map)(partial(_run_replicate, spec), tasks):
+        run = partial(_run_replicate, spec)
+        for entry, stages, outside in (pool.map if pool else map)(run, tasks):
             replicates.append(entry)
+            for key, value in outside.items():
+                replicate_s[key] += value
             for method, (seconds, sweeps) in stages.items():
                 for key, value in (*seconds.items(), ("sweeps", sweeps)):
                     stage_s[method][key] = stage_s[method].get(key, 0) + value
@@ -231,6 +244,7 @@ def run_benchmark(spec: ExperimentSpec, jobs: int = 1, progress=None) -> dict:
         "library_version": __version__,
         "wall_clock_seconds": time.time() - start,
         "stage_s": stage_s,
+        "replicate_s": replicate_s,
         "replicates": replicates,
         "aggregates": aggregates,
     }

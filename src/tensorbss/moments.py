@@ -15,6 +15,13 @@ from the lag products X_{t+a} X_{t+b}^T: `c_grids` and `mode_c_grids` form
 Q_t = X_t X_t^T once for all their lags, and take each lag's GEMMs over the
 p(p+1)/2 entries i <= j of its symmetric side before expanding them to the
 full grid.
+
+A lag product set is one kernel call per lag, chosen from the frame shape
+alone.  Small frames, p_m^2 rho_m <= `EINSUM_FRAME_MAX`, take one einsum
+over a time-last (p_m, rho_m, T) copy of f, made once per builder call,
+so each of its p_m^2 rho_m multiply-adds runs along time; a batched matmul
+would spend more on dispatching each tiny product than on its arithmetic.
+Larger frames take the batched matmul.
 """
 
 from __future__ import annotations
@@ -35,8 +42,37 @@ def _check_lags(lags, t: int) -> None:
             raise ValueError(f"lag {tau} out of range for series of length {t}")
 
 
+# Largest p^2 rho, the multiply-adds of one frame product, whose lag products
+# take the einsum kernel.  One lag's products of (p, rho) frames at T = 2000
+# on one BLAS thread, einsum vs batched matmul: (3, 4) 0.04 vs 0.23 ms,
+# (12, 1) 0.25 vs 0.55 ms; at 256, (8, 4) 0.25 vs 0.25 ms; above it, (6, 8)
+# 0.24 vs 0.23 ms, (3, 80) 0.78 vs 0.28 ms, (10, 24) 2.4 vs 1.0 ms.  rho = 1
+# frames keep einsum ahead past 256, (24, 1) 1.2 vs 2.2 ms, which one bound
+# on p^2 rho gives up.
+EINSUM_FRAME_MAX = 256
+
+
+def _einsum_side(f: np.ndarray) -> bool:
+    _, p, rho = f.shape
+    return p * p * rho <= EINSUM_FRAME_MAX
+
+
+def _time_last(f: np.ndarray) -> np.ndarray:
+    """f as `_lag_products` reads it fastest: for small frames a (T, p, rho)
+    view of a contiguous time-last copy, else f itself."""
+    return np.ascontiguousarray(f.transpose(1, 2, 0)).transpose(2, 0, 1) if _einsum_side(f) else f
+
+
 def _lag_products(f: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """F_{t+a} F_{t+b}^T for t < n, each flattened; shape (n, p * p)."""
+    """F_{t+a} F_{t+b}^T for t < n, each flattened; shape (n, p * p).
+
+    Small frames give a transposed view of a (p * p, n) array (einsum over
+    time, fast on a `_time_last` f); larger ones a C-ordered array (matmul).
+    """
+    _, p, _ = f.shape
+    if _einsum_side(f):
+        g = f.transpose(1, 2, 0)
+        return np.einsum("art,crt->act", g[:, :, a:a + n], g[:, :, b:b + n]).reshape(p * p, n).T
     return np.matmul(f[a:a + n], f[b:b + n].swapaxes(1, 2)).reshape(n, -1)
 
 
@@ -51,7 +87,11 @@ def mode_autocov(f: np.ndarray, lags) -> np.ndarray:
 
 
 def mode_b_tau(f: np.ndarray, lags) -> np.ndarray:
-    """Mode lagged fourth moments (1/rho_m) E[X_t X_{t+tau}^T X_{t+tau} X_t^T], one per lag."""
+    """Mode lagged fourth moments (1/rho_m) E[X_t X_{t+tau}^T X_{t+tau} X_t^T], one per lag.
+
+    For rho_m > 1 each lag is one Gram of the products H_t = X_{t+tau} X_t^T,
+    taken from one time-last copy of f when the frames are small.
+    """
     t, p, rho = f.shape
     _check_lags(lags, t)
     out = np.empty((len(lags), p, p))
@@ -61,10 +101,12 @@ def mode_b_tau(f: np.ndarray, lags) -> np.ndarray:
         for k, tau in enumerate(lags):
             out[k] = (x[:t - tau].T * norms[tau:]) @ x[:t - tau] / (t - tau)
         return out
+    g = _time_last(f)
     for k, tau in enumerate(lags):
         n = t - tau
-        # H_t = X_{t+tau} X_t^T stacked row-wise, so h^T h = sum_t H_t^T H_t
-        h = _lag_products(f, tau, 0, n).reshape(n * p, p)
+        # H_t stacked row-wise (a copy of the einsum kernel's time-last layout),
+        # so h^T h = sum_t H_t^T H_t
+        h = _lag_products(g, tau, 0, n).reshape(n * p, p)
         out[k] = h.T @ h / (n * rho)
     return out
 
@@ -97,12 +139,13 @@ def c_grids(f: np.ndarray, lags) -> np.ndarray:
 
     C_ij = B_ij - S (E_ij + E_ji) S^T - delta_ij I for each lag tau, with
     B_ij = E[(x_{t+tau})_i (x_{t+tau})_j x_t x_t^T] and S = E[x_t x_{t+tau}^T].
-    Every B grid comes from the products Q_t = x_t x_t^T, formed once.
+    Every B grid comes from the products Q_t = x_t x_t^T, formed once, by
+    the einsum kernel when p^2 <= `EINSUM_FRAME_MAX`.
     """
     t, p, rho = f.shape
     _check_lags(lags, t)
     rows, cols, expand = _upper_columns(p)
-    qu = _lag_products(f, 0, 0, t)[:, rows * p + cols]
+    qu = _lag_products(_time_last(f), 0, 0, t)[:, rows * p + cols]
     out = np.empty((len(lags), p, p, p, p))
     for k, (tau, s) in enumerate(zip(lags, mode_autocov(f, lags))):
         out[k] = _q_grid(qu, tau, rho, expand).reshape(p, p, p, p) - _pair_term(s)
@@ -118,19 +161,21 @@ def mode_c_grids(f: np.ndarray, lags) -> np.ndarray:
     covariance and B_ij the mode joint lagged fourth moment
     B_ij(a, b, c, d) = (1/rho_m) E[(e_i^T X_{t+a} X_{t+b}^T e_j) X_{t+c} X_{t+d}^T].
     All three B grids come from the products A_t = X_t X_{t+tau}^T and
-    Q_t = X_t X_t^T, and Q is formed once for all lags.
+    Q_t = X_t X_t^T, and Q is formed once for all lags; for small frames all
+    of them come from one time-last copy of f.
     """
     t, p, rho = f.shape
     _check_lags(lags, t)
     rows, cols, expand = _upper_columns(p)
-    q = _lag_products(f, 0, 0, t)
+    g = _time_last(f)
+    q = _lag_products(g, 0, 0, t)
     qu = q[:, rows * p + cols]
     s0 = q.sum(axis=0).reshape(p, p) / (t * rho)
     s0_pair, s0_outer = _pair_term(s0), s0 @ s0.T
     out = np.empty((len(lags), p, p, p, p))
     for k, tau in enumerate(lags):
         n = t - tau
-        a = q if tau == 0 else _lag_products(f, 0, tau, n)  # A_t at lag 0 is Q_t
+        a = q if tau == 0 else _lag_products(g, 0, tau, n)  # A_t at lag 0 is Q_t
         a3 = a.reshape(n, p, p)
         a_sum = a3[:, rows, cols] + a3[:, cols, rows]  # columns i <= j of A_t + A_t^T
         b = (a.T @ a_sum / (n * rho))[:, expand] - _q_grid(qu, tau, rho, expand)

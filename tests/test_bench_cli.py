@@ -600,6 +600,10 @@ class TestCliRankAndBench:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1
         assert len(manifest["replicates"]) == 2
+        outside = manifest["replicate_s"]
+        assert list(outside) == ["simulate", "score"]
+        assert all(v > 0.0 for v in outside.values())
+        assert sum(outside.values()) < manifest["wall_clock_seconds"]
         printed = capsys.readouterr().out
         assert SUMMARY_HEADER in printed
 

@@ -384,6 +384,56 @@ class TestGJadeSets:
                 builder(series_flatten(xs, 2), (0, 12, 3))
 
 
+class TestLagProducts:
+    """`_lag_products`' two kernels, one einsum per lag for small frames and a
+    batched matmul for larger ones, against per-frame products, with the
+    3x2x2 and vector (12,) frames on the einsum side and the 10x8x3 frames
+    on the matmul side."""
+
+    SIDES = [((12,), True), ((3, 2, 2), True), ((10, 8, 3), False)]
+
+    @pytest.mark.parametrize("dims,einsum", SIDES)
+    def test_the_frame_shape_picks_the_kernel(self, dims, einsum):
+        xs = np.random.default_rng(47).standard_normal((20,) + dims)
+        for mode in range(1, len(dims) + 1):
+            f = series_flatten(xs, mode)
+            assert moments._einsum_side(f) is einsum
+            g = moments._time_last(f)
+            assert np.array_equal(g, f)
+            assert (g is f) is not einsum
+
+    @pytest.mark.parametrize("frame_max", [0, 10**9])  # every frame on one side
+    @pytest.mark.parametrize("dims", [dims for dims, _ in SIDES])
+    def test_kernels_match_per_frame_products(self, monkeypatch, dims, frame_max):
+        monkeypatch.setattr(moments, "EINSUM_FRAME_MAX", frame_max)
+        t = 40
+        xs = np.random.default_rng(48).standard_normal((t,) + dims)
+        for mode in range(1, len(dims) + 1):
+            f = series_flatten(xs, mode)
+            p = f.shape[1]
+            for a, b in ((0, 0), (3, 0), (0, 5)):
+                n = t - max(a, b)
+                want = np.stack([f[a + k] @ f[b + k].T for k in range(n)]).reshape(n, p * p)
+                for frames in (f, moments._time_last(f)):
+                    got = moments._lag_products(frames, a, b, n)
+                    assert got.shape == (n, p * p)
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (10, 8, 3)])
+    def test_builders_match_the_oracles_on_each_side(self, dims):
+        xs = np.random.default_rng(49).standard_normal((30,) + dims)
+        f = series_flatten(xs, 1)
+        p = dims[0]
+        lags = (0, 2)
+        for got, tau in zip(moments.mode_b_tau(f, lags), lags):
+            assert np.allclose(got, oracles.naive_mode_b_tau(xs, 1, tau), atol=1e-12)
+        grids = moments.mode_c_grids(f, lags).reshape(len(lags), p, p, p, p)
+        for grid, tau in zip(grids, lags):
+            for i, j in ((1, 1), (1, 2), (p, 1)):
+                assert np.allclose(grid[i - 1, j - 1],
+                                   oracles.naive_mode_c_tau_ij(xs, 1, tau, i, j), atol=1e-12)
+
+
 class TestVectorBranches:
     """mode_b_tau's weighted Gram for rho = 1 against its general per-lag
     products, and mode_autocov's GEMMs at rho = 1 against rho = 2: a zero
