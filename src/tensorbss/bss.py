@@ -20,7 +20,7 @@ from time import perf_counter
 
 import numpy as np
 
-from . import moments
+from . import moments, tensor
 from .linalg import RankDeficiencyError, joint_diagonalize
 from .tensor import _is_int, series_components, series_flatten, series_multilinear_product
 
@@ -102,23 +102,43 @@ def whiten(xs: np.ndarray):
     R = U S V^T, W_m = V diag(sqrt(T rho_m) / s) V^T.  A mode is rank
     deficient when s_min <= max(T rho_m, p_m) eps s_max, the rule of
     `numpy.linalg.matrix_rank`.  A (T, p) series has one mode.
+
+    A frame of order r >= 2 with at most `tensor.KRON_FRAME_MAX` entries
+    takes one Householder QR of the series' C-order (T, P) view, X = Q R_0,
+    and A is then the matrix of the m-mode vectors of R_0's rows, each
+    read as a frame: R_0^T R_0 = X^T X, so A^T A is the same partial trace
+    of it, as backward stable as the QR of the series' own m-mode vectors,
+    which larger frames take.  The whitened series is the product with the
+    W_m (`series_multilinear_product`); its scale is c^{1-r} of the input's
+    c, and when it overflows `whiten` raises FloatingPointError.
     """
     xs = _real_series(xs, "series")
     if xs.ndim < 2:
         raise ValueError("whitening expects a series of shape (T, p_1, ..., p_r)")
+    dims = xs.shape[1:]
+    rows = xs  # the frames whose m-mode vectors have the Gram of the series'
+    if len(dims) > 1 and np.prod(dims) <= tensor.KRON_FRAME_MAX:
+        rows = np.linalg.qr(xs.reshape(len(xs), -1), mode="r").reshape((-1,) + dims)
     whiteners = []
-    for m in range(1, xs.ndim):
-        a = np.moveaxis(xs, m, -1).reshape(-1, xs.shape[m])
-        _, s, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
-        s_min = s[-1] if s.size == a.shape[1] else 0.0  # fewer m-mode vectors than p_m
-        if not s_min > max(a.shape) * np.finfo(float).eps * s[0]:
+    for m, p in enumerate(dims, start=1):
+        n = xs.size // p  # T rho_m, the number of m-mode vectors
+        _, s, vt = np.linalg.svd(np.linalg.qr(np.moveaxis(rows, m, -1).reshape(-1, p),
+                                              mode="r"))
+        s_min = s[-1] if s.size == p else 0.0  # fewer m-mode vectors than p_m
+        if not s_min > max(n, p) * np.finfo(float).eps * s[0]:
             ratio = s_min / s[0] if s[0] > 0 else 0.0
             raise RankDeficiencyError(
                 f"mode {m}: series is numerically rank deficient: "
                 f"min/max singular value ratio {ratio:.3e}")
-        w = (vt.T * (np.sqrt(a.shape[0]) / s)) @ vt
+        w = (vt.T * (np.sqrt(n) / s)) @ vt
         whiteners.append(0.5 * (w + w.T))
-    return series_multilinear_product(xs, whiteners), whiteners
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = series_multilinear_product(xs, whiteners)
+    if not np.isfinite(ys).all():
+        raise FloatingPointError(
+            "whitening overflowed: the whitened series is not finite (an order-r series "
+            "of scale c whitens to scale c^(1-r))")
+    return ys, whiteners
 
 
 def unmix(xs: np.ndarray, method: str, lags=None) -> UnmixingResult:

@@ -10,7 +10,10 @@ Conventions used throughout the package:
   notation.
 * The linear layout used by :func:`vectorize` and the series file format
   puts the first index fastest (Fortran order), so that
-  vec(X x_1 A_1 ... x_r A_r) = (A_r kron ... kron A_1) vec(X).
+  vec(X x_1 A_1 ... x_r A_r) = (A_r kron ... kron A_1) vec(X).  The
+  C-order layout of a frame, X.reshape(-1), puts the last index fastest,
+  so vec_C(X x_1 A_1 ... x_r A_r) = (A_1 kron ... kron A_r) vec_C(X);
+  :func:`series_multilinear_product` takes small frames through this one.
 * The m-flattening collects the m-mode vectors as columns, the column
   index enumerating the remaining indices with the smallest-numbered
   remaining mode varying fastest.
@@ -20,6 +23,8 @@ Conventions used throughout the package:
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -94,17 +99,28 @@ def series_flatten(xs: np.ndarray, mode: int) -> np.ndarray:
     return xt.reshape(xs.shape[0], xs.shape[ax], -1)
 
 
+def _check_matrix(a: np.ndarray, mode: int, size: int) -> None:
+    if a.ndim != 2 or a.shape[1] != size:
+        raise ValueError(f"matrix of shape {a.shape} cannot act on mode {mode} of size {size}")
+
+
 def series_mode_product(xs: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
-    """Apply the matrix `a` to every m-mode vector of every frame of a series."""
+    """Apply the matrix `a` to every m-mode vector of every frame of a series.
+
+    One matmul on the C-order (T prod_{l<m} p_l, p_m, prod_{l>m} p_l) view of
+    the series, or for the last mode one GEMM of its (T rho_m, p_m) view, so
+    no axis is moved and the result is C-contiguous.
+    """
     xs = np.asarray(xs, dtype=float)
     a = np.asarray(a, dtype=float)
     ax = _check_mode(mode, xs.ndim - 1) + 1
-    if a.ndim != 2 or a.shape[1] != xs.shape[ax]:
-        raise ValueError(
-            f"matrix of shape {a.shape} cannot act on mode {mode} of size {xs.shape[ax]}"
-        )
-    xt = np.tensordot(xs, a, axes=(ax, 1))
-    return np.moveaxis(xt, -1, ax)
+    _check_matrix(a, mode, xs.shape[ax])
+    lead, trail = int(np.prod(xs.shape[:ax])), int(np.prod(xs.shape[ax + 1:]))
+    if trail == 1:
+        out = xs.reshape(lead, xs.shape[ax]) @ a.T
+    else:
+        out = np.matmul(a, xs.reshape(lead, xs.shape[ax], trail))
+    return out.reshape(xs.shape[:ax] + a.shape[:1] + xs.shape[ax + 1:])
 
 
 def series_components(xs: np.ndarray) -> np.ndarray:
@@ -129,11 +145,39 @@ def series_from_components(flat: np.ndarray, dims) -> np.ndarray:
     return np.ascontiguousarray(xt.transpose(0, *range(len(dims), 0, -1)))
 
 
+# Largest frame size P = prod p_m whose multilinear products take one GEMM
+# with the Kronecker product, and whose `bss.whiten` takes one QR of the
+# (T, P) view.  Whitening plus product of a T = 2000 series on one BLAS
+# thread, chained vs Kronecker: (3, 2, 2) 0.68 vs 0.32 ms, (4, 4, 3) 2.16
+# vs 1.64 ms; at 64, (4, 4, 4) 2.60 vs 2.67 ms; above it (5, 4, 4) 3.64 vs
+# 3.87 ms, (6, 6, 3) 5.29 vs 6.39 ms, (10, 8, 3) 16.0 vs 18.5 ms.  The
+# product alone crosses later, (6, 6, 3) 1.14 vs 1.11 ms.
+KRON_FRAME_MAX = 64
+
+
 def series_multilinear_product(xs: np.ndarray, mats) -> np.ndarray:
-    """The chained mode products X x_1 A_1 ... x_k A_k of every frame, A_m = mats[m-1]."""
+    """The chained mode products X x_1 A_1 ... x_k A_k of every frame, A_m = mats[m-1].
+
+    Frames of at most `KRON_FRAME_MAX` entries take one GEMM of the C-order
+    (T, P) view with A_1 kron ... kron A_r, the identity standing in for
+    each mode without a matrix; larger ones chain :func:`series_mode_product`.
+    """
+    xs = np.asarray(xs, dtype=float)
+    mats = [np.asarray(a, dtype=float) for a in mats]
+    dims = xs.shape[1:]
+    size = int(np.prod(dims))
+    if not mats or size > KRON_FRAME_MAX:
+        for m, a in enumerate(mats, start=1):
+            xs = series_mode_product(xs, a, m)
+        return xs
     for m, a in enumerate(mats, start=1):
-        xs = series_mode_product(xs, a, m)
-    return xs
+        _check_matrix(a, m, dims[_check_mode(m, len(dims))])
+    # the Kronecker product scales as the product of the matrices' scales,
+    # which overflows where the chained products may not
+    with np.errstate(over="ignore"):
+        k = reduce(np.kron, mats + [np.eye(p) for p in dims[len(mats):]])
+    out = xs.reshape(len(xs), size) @ k.T
+    return out.reshape(xs.shape[:1] + tuple(len(a) for a in mats) + dims[len(mats):])
 
 
 def write_series(path, xs: np.ndarray) -> None:

@@ -136,6 +136,50 @@ class TestWhitening:
             whiten(np.random.default_rng(6).standard_normal((3, 5)))  # fewer rows than p
 
 
+class TestWhiteningPaths:
+    """`whiten`'s two paths, one QR of the (T, P) view for frames of at most
+    `tensor.KRON_FRAME_MAX` entries and one QR per mode for larger ones, each
+    forced by patching the constant to 0 or 10^9."""
+
+    SIDES = (0, 10**9)
+
+    def test_paths_agree_under_gaussian_mixing(self, monkeypatch):
+        rng = np.random.default_rng([301, 0, 0])
+        xs = mix(gen_latent_setting("arma", 2000, rng), gen_mixing((3, 2, 2), "gaussian", rng))
+        xs -= xs.mean(axis=0)
+        got = {}
+        for frame_max in self.SIDES:
+            monkeypatch.setattr(tensor, "KRON_FRAME_MAX", frame_max)
+            got[frame_max] = whiten(xs)
+        (ys_a, ws_a), (ys_b, ws_b) = got.values()
+        for w_a, w_b in zip(ws_a, ws_b):
+            assert np.abs(w_a - w_b).max() <= 1e-12 * np.abs(w_a).max()
+        assert np.abs(ys_a - ys_b).max() <= 1e-12 * np.abs(ys_a).max()
+        for _, whiteners in got.values():
+            for m, w in enumerate(whiteners, start=1):
+                sigma = naive_mode_autocov(xs, m, 0)
+                np.testing.assert_allclose(w @ sigma @ w, np.eye(len(w)), atol=1e-10)
+
+    def test_rank_deficiency_names_the_mode_on_both_paths(self, monkeypatch):
+        dup = np.random.default_rng(3).standard_normal((300, 3, 2))
+        dup[:, :, 1] = 2.0 * dup[:, :, 0]
+        short = np.random.default_rng(8).standard_normal((5, 3, 2, 2))  # T < P
+        short[:, :, 1] = 0.0
+        msgs = {}
+        for frame_max in self.SIDES:
+            monkeypatch.setattr(tensor, "KRON_FRAME_MAX", frame_max)
+            for name, xs in (("dup", dup), ("short", short)):
+                with pytest.raises(RankDeficiencyError) as err:
+                    whiten(xs - xs.mean(axis=0))
+                msgs[name, frame_max] = str(err.value)
+        prefix = "mode 2: series is numerically rank deficient: min/max singular value ratio "
+        for frame_max in self.SIDES:
+            # a duplicated slice leaves a ratio at rounding level, a zero slice exactly 0
+            head, ratio = msgs["dup", frame_max].rsplit(" ", 1)
+            assert head + " " == prefix and float(ratio) < 1e-15
+            assert msgs["short", frame_max] == prefix + "0.000e+00"
+
+
 class TestVectorMethods:
     def test_sobi_recovers_ar1_pair(self):
         rng = np.random.default_rng(10)
@@ -495,6 +539,17 @@ class TestInputValidation:
             whiten(xs + 1j * xs)
         with pytest.raises(ValueError, match="^xs: series has complex values"):
             apply_unmixing(xs + 1j * xs, res)
+
+    @pytest.mark.parametrize("method", ["tsobi", "tgfobi", "tgjade"])
+    def test_whitening_overflow_raises(self, method):
+        # at 1e-150 the Kronecker product of the three whiteners scales as
+        # 1e450 and overflows; the whitening must raise, and no RuntimeWarning
+        # may escape (pyproject.toml turns one into an error)
+        rng = np.random.default_rng([301, 0, 0])
+        zs = gen_latent_setting("arma", 2000, rng)
+        xs = mix(zs, gen_mixing((3, 2, 2), "gaussian", rng))
+        with pytest.raises(FloatingPointError, match="^whitening overflowed: "):
+            unmix(xs * 1e-150, method)
 
     def test_non_finite_moments_raise(self):
         # at 1e-100 the whitened order-3 series scales as 1e200, so its lagged

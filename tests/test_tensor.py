@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorbss import tensor
+from tensorbss.bss import apply_unmixing, unmix
+from tensorbss.simgen import gen_mixing, mix
 from tensorbss.tensor import (
     m_flatten,
     m_unflatten,
@@ -14,6 +17,7 @@ from tensorbss.tensor import (
     series_flatten,
     series_from_components,
     series_mode_product,
+    series_multilinear_product,
     unvectorize,
     vectorize,
     write_series,
@@ -130,6 +134,86 @@ def test_series_helpers_match_per_frame():
     comps = series_components(xs)
     for t in range(7):
         assert np.array_equal(comps[t], vectorize(xs[t]))
+
+
+def einsum_product(x, mats):
+    """X x_1 A_1 ... x_k A_k of one frame X, as one einsum."""
+    idx, new = "abcdefg"[:x.ndim], "hijklmn"[:len(mats)]
+    ops = "".join(f",{o}{i}" for o, i in zip(new, idx))
+    return np.einsum(f"{idx}{ops}->{new}{idx[len(mats):]}", x, *mats)
+
+
+class TestProductKernels:
+    """`series_multilinear_product`'s two kernels, one GEMM with the Kronecker
+    product for frames of at most `KRON_FRAME_MAX` entries and chained
+    `series_mode_product` calls for larger ones, against per-frame einsums,
+    with the vector (12,) and 3x2x2 frames on the Kronecker side and the
+    10x8x3 frames on the chained side."""
+
+    SIDES = [((12,), True), ((3, 2, 2), True), ((10, 8, 3), False)]
+
+    @pytest.mark.parametrize("dims,kron", SIDES)
+    def test_the_frame_size_picks_the_kernel(self, monkeypatch, dims, kron):
+        calls, fn = [], tensor.series_mode_product
+
+        def counted(xs, a, mode):
+            calls.append(mode)
+            return fn(xs, a, mode)
+
+        monkeypatch.setattr(tensor, "series_mode_product", counted)
+        r = np.random.default_rng(60)
+        series_multilinear_product(r.standard_normal((5,) + dims),
+                                   [r.standard_normal((p, p)) for p in dims])
+        assert calls == ([] if kron else list(range(1, len(dims) + 1)))
+
+    @pytest.mark.parametrize("frame_max", [0, 10**9])  # every frame on one side
+    @pytest.mark.parametrize("dims", [dims for dims, _ in SIDES])
+    def test_kernels_match_per_frame_einsum(self, monkeypatch, dims, frame_max):
+        monkeypatch.setattr(tensor, "KRON_FRAME_MAX", frame_max)
+        r = np.random.default_rng(61)
+        xs = r.standard_normal((9,) + dims)
+        square = [r.standard_normal((p, p)) for p in dims]
+        cases = [
+            (xs, square),
+            (xs, [r.standard_normal((p + (-1) ** m, p)) for m, p in enumerate(dims)]),
+            (xs, square[:-1]),  # fewer matrices than modes
+            (np.asfortranarray(xs), square),  # not C-contiguous
+        ]
+        for x, mats in cases:
+            want = np.stack([einsum_product(frame, mats) for frame in x])
+            got = series_multilinear_product(x, mats)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dims", [(12,), (3, 2, 2), (10, 8, 3)])
+    def test_mode_product_is_c_contiguous_and_matches_einsum(self, dims):
+        r = np.random.default_rng(62)
+        xs = r.standard_normal((9,) + dims)
+        for mode, p in enumerate(dims, start=1):
+            a = r.standard_normal((p + 1, p))
+            mats = [np.eye(q) for q in dims[:mode - 1]] + [a]
+            got = series_mode_product(xs, a, mode)
+            assert got.flags.c_contiguous
+            want = np.stack([einsum_product(frame, mats) for frame in xs])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_too_many_or_mismatched_matrices_rejected(self):
+        xs = rng.standard_normal((4, 3, 2))
+        with pytest.raises(ValueError, match="out of range"):
+            series_multilinear_product(xs, [np.eye(3), np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match=re.escape("matrix of shape (2, 3) cannot act on "
+                                                       "mode 2 of size 2")):
+            series_multilinear_product(xs, [np.eye(3), np.ones((2, 3))])
+
+    @pytest.mark.parametrize("method", ["tsobi", "tgjade"])
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (10, 8, 3)])
+    def test_apply_unmixing_reproduces_recovered(self, dims, method):
+        # the fit's recovered series is (X W) U^T, apply_unmixing's X (U^T W)
+        r = np.random.default_rng(63)
+        xs = mix(r.standard_normal((300,) + dims) ** 3, gen_mixing(dims, "gaussian", r))
+        res = unmix(xs, method)
+        got = apply_unmixing(xs, res)
+        assert np.abs(got - res.recovered).max() <= 1e-12 * np.abs(res.recovered).max()
 
 
 @pytest.mark.parametrize("dims", [(4,), (3, 2), (3, 1, 4), (2, 3, 2, 2)])

@@ -7,8 +7,11 @@ Each revision comes from a fresh `git archive`; its `src/tensorbss` and
 with BLAS pinned to one thread.  Each side draws its own inputs with its
 own code, so a change to the simulation shows up as changed data: the arma
 (T = 2000) and sv (T = 8000) replicates `default_rng([seed, 0, rep])` of
-seeds 301 and 302, reps 0 and 1, haar mixing, fitted by all ten methods,
-and perfbench's 10x8x3 frames-cli series, fitted by the five tensor ones.
+seeds 301 and 302, reps 0 and 1, haar mixing, fitted by all ten methods;
+perfbench's 10x8x3 frames-cli series, fitted by the five tensor ones; and
+a larger-frames series, `gen_frames((24, 24, 3), 2000, default_rng([301, 3]))`,
+fitted by tsobi and tgjade (about 2.5 s a side per round), whose frames
+take the chained mode products and the per-mode whitening QRs.
 In each of `repeats` rounds every fit runs on both sides, a first for
 even-numbered fits of even rounds and odd of odd rounds, b first otherwise.
 Then each side runs its own `tensorbss.bench.run_benchmark` once on the
@@ -60,6 +63,9 @@ REPLICATES = [(setting, t, seed, rep) for setting, t in LENGTHS
               for seed in (301, 302) for rep in (0, 1)]
 VECTOR = ("sobi", "gfobi", "gjade", "fobi", "jade")  # each with its tensor counterpart "t" + name
 MOVED = 1e-8  # a criterion-7 mean that moves by more has its moved replicates recorded
+# frames input name -> (dims, seed of its generator, the methods that fit it)
+FRAMES = {"frames": ((10, 8, 3), [301, 2], tuple("t" + v for v in VECTOR)),
+          "frames24": ((24, 24, 3), [301, 3], ("tsobi", "tgjade"))}
 
 
 def load(tree: Path) -> tuple:
@@ -86,8 +92,9 @@ def draw(w) -> dict:
         mats = w.simgen.gen_mixing(zs.shape[1:], "haar", rng)
         inputs[f"{setting}/{seed}/{rep}"] = (w.simgen.mix(zs, mats), mats,
                                              {"latent": [zs], "mixing": list(mats)})
-    xs, mats = w.gen_frames((10, 8, 3), 2000, np.random.default_rng([301, 2]))
-    inputs["frames"] = xs, mats, {"input": [xs], "mixing": list(mats)}
+    for name, (dims, seed, _) in FRAMES.items():
+        xs, mats = w.gen_frames(dims, 2000, np.random.default_rng(seed))
+        inputs[name] = xs, mats, {"input": [xs], "mixing": list(mats)}
     return inputs
 
 
@@ -188,7 +195,7 @@ def main(argv=None) -> int:
                for side in SIDES}
     fits = [("tensor" if tensor_path else "vector", name, method) for name in inputs["a"]
             for method, (_, tensor_path, _) in code["a"].bss.METHOD_NAMES.items()
-            if tensor_path or name != "frames"]
+            if name not in FRAMES or method in FRAMES[name][2]]
     best = {side: {} for side in SIDES}
     for r in range(args.repeats):
         for k, (kind, name, method) in enumerate(fits):
