@@ -5,7 +5,8 @@
 Each revision comes from a fresh `git archive`; its `src/tensorbss` and
 `perfbench/workloads.py` are imported side by side in this one process,
 with BLAS pinned to one thread.  Each side draws its own inputs with its
-own code, so a change to the simulation shows up as changed data: the arma
+own code, so a change to the simulation shows up as changed data (a
+replicate's latent series, mixing matrices and mixed series): the arma
 (T = 2000) and sv (T = 8000) replicates `default_rng([seed, 0, rep])` of
 seeds 301 and 302, reps 0 and 1, haar mixing, fitted by all ten methods;
 perfbench's 10x8x3 frames-cli series, fitted by the five tensor ones; and
@@ -90,8 +91,9 @@ def draw(w) -> dict:
         rng = np.random.default_rng([seed, 0, rep])
         zs = w.simgen.gen_latent_setting(setting, t, rng)
         mats = w.simgen.gen_mixing(zs.shape[1:], "haar", rng)
-        inputs[f"{setting}/{seed}/{rep}"] = (w.simgen.mix(zs, mats), mats,
-                                             {"latent": [zs], "mixing": list(mats)})
+        xs = w.simgen.mix(zs, mats)
+        inputs[f"{setting}/{seed}/{rep}"] = xs, mats, {"latent": [zs], "mixing": list(mats),
+                                                       "mixed": [xs]}
     for name, (dims, seed, _) in FRAMES.items():
         xs, mats = w.gen_frames(dims, 2000, np.random.default_rng(seed))
         inputs[name] = xs, mats, {"input": [xs], "mixing": list(mats)}
