@@ -103,12 +103,15 @@ def whiten(xs: np.ndarray):
     deficient when s_min <= max(T rho_m, p_m) eps s_max, the rule of
     `numpy.linalg.matrix_rank`.  A (T, p) series has one mode.
 
-    A frame of order r >= 2 with at most `tensor.KRON_FRAME_MAX` entries
-    takes one Householder QR of the series' C-order (T, P) view, X = Q R_0,
-    and A is then the matrix of the m-mode vectors of R_0's rows, each
-    read as a frame: R_0^T R_0 = X^T X, so A^T A is the same partial trace
-    of it, as backward stable as the QR of the series' own m-mode vectors,
-    which larger frames take.  The whitened series is the product with the
+    A frame of order r >= 2 with at most `tensor.KRON_FRAME_MAX` = 64
+    entries (the crossover measured beside that constant; the paper's
+    3x2x2 frames are below it) takes one Householder QR of the series'
+    C-order (T, P) view, X = Q R_0, and A is then the matrix of the m-mode
+    vectors of R_0's rows, each read as a frame: R_0^T R_0 = X^T X, so A^T A
+    is the same partial trace of it, as backward stable as the QR of the
+    series' own m-mode vectors, which larger frames take, one QR per mode.
+    The count T rho_m above is the series' on both paths.  The whitened
+    series is the product with the
     W_m (`series_multilinear_product`); its scale is c^{1-r} of the input's
     c, and when it overflows `whiten` raises FloatingPointError.
     """

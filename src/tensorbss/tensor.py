@@ -13,7 +13,10 @@ Conventions used throughout the package:
   vec(X x_1 A_1 ... x_r A_r) = (A_r kron ... kron A_1) vec(X).  The
   C-order layout of a frame, X.reshape(-1), puts the last index fastest,
   so vec_C(X x_1 A_1 ... x_r A_r) = (A_1 kron ... kron A_r) vec_C(X);
-  :func:`series_multilinear_product` takes small frames through this one.
+  :func:`series_multilinear_product` takes frames of at most
+  `KRON_FRAME_MAX` = 64 entries through this one, one GEMM per product,
+  and chains the mode products of larger ones (crossover beside the
+  constant).
 * The m-flattening collects the m-mode vectors as columns, the column
   index enumerating the remaining indices with the smallest-numbered
   remaining mode varying fastest.
